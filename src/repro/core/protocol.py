@@ -284,14 +284,6 @@ class CountingProtocol:
         self._batched_unsafe = (
             self.exchange.rng is rng and not self._recognition_trivial
         )
-        #: granular flush barriers (see :meth:`process_batch`): irregular
-        #: events only flush the plain-crossing buffer when they are actually
-        #: order-entangled with it.  Requires trivial recognition — then the
-        #: flush itself is draw-free, so every RNG draw happens inline in
-        #: stream order no matter when the buffer is settled.  ``False``
-        #: restores the every-irregular-event barrier (the pre-optimization
-        #: behaviour, kept as the benchmark baseline).
-        self._irregular_batching = True
 
     # ------------------------------------------------------------------ main
     def handle_events(self, events: Iterable[TrafficEvent]) -> None:
@@ -340,9 +332,7 @@ class CountingProtocol:
           activation state, pending labels, collection readiness, carried
           labels) or commutes with the flush (counter and statistics
           increments).  With recognition noise enabled the flush draws from
-          the recognizer stream, so every irregular event is a barrier (the
-          pre-optimization behaviour, also selectable via the
-          ``_irregular_batching`` switch for benchmarking).
+          the recognizer stream, so every irregular event is a barrier.
 
         Plainness is sound because plain crossings mutate only counters,
         adjustments and their own vehicle's counted bit — never direction
@@ -393,7 +383,7 @@ class CountingProtocol:
         # Granular barriers are only sound when the flush consumes no RNG
         # (see the docstring); with recognition noise every irregular event
         # stays a full barrier.
-        granular = self._irregular_batching and self._recognition_trivial
+        granular = self._recognition_trivial
         # structure-of-arrays buffer of plain crossings awaiting a flush
         b_cp: List[Checkpoint] = []
         b_veh: List[Vehicle] = []

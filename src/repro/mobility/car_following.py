@@ -266,9 +266,9 @@ class LaneChangeModel:
 
         ``occupancy[lane]`` must list the vehicles currently in ``lane`` on
         the same segment (any order).  The vectorized engine ports this
-        choice to its resident arrays (``TrafficEngine._target_lane_soa``);
-        any change here — including RNG draw order — must be mirrored
-        there.
+        choice to its resident arrays (``TrafficEngine._lane_change_batch``
+        and the kernel's ``lane_options``); any change here — including RNG
+        draw order — must be mirrored there.
         """
         if lanes < 2:
             return None

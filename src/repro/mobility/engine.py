@@ -28,14 +28,18 @@ back with one bulk write, with no per-step ``np.fromiter``/attribute
 packing.  The ``Vehicle`` objects' kinematic fields become lazily synced
 mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
 vehicles`).  Because each lane advances front to back against its leader's
-post-step state, the update is not a single elementwise pass; instead the
-step resolves, in order: lane heads and provably unconstrained/stopped
-followers in one vectorized pass (sound conservative bounds on the leader's
-outcome), then exact vectorized rounds for followers whose leader is already
-final, and finally a scalar tail for short chained runs at queue boundaries
-— producing results bit-for-bit identical to the per-vehicle engine.  The
-lane-change scan is a single vectorized predicate over the gathered
-columns; only actual candidates run the scalar target-lane logic, in
+post-step state, the update is not a single elementwise pass.  The native
+step kernel (:mod:`repro.mobility.kernels`, loaded whenever the engine is
+vectorized) runs that recurrence as one sequential sweep over the gathered
+slots, and also does the gather, the lane-change candidate predicate, the
+lane viability test and the overtake ranking scan through per-edge pointer
+tables.  On a host with no C compiler the NumPy fallback resolves the
+advance in order: lane heads and provably unconstrained/stopped followers
+in one vectorized pass (sound conservative bounds on the leader's outcome),
+then exact vectorized rounds for followers whose leader is already final,
+and finally a scalar tail for short chained runs at queue boundaries.  Both
+produce results bit-for-bit identical to the per-vehicle engine.  Only
+actual lane-change candidates run the scalar target-lane logic, in
 reference RNG order.  Overtakes are detected by checking each multilane
 segment's cached (position, vid) ranking for inversions instead of
 comparing all pairs, and intersections only consider the vehicles actually
@@ -43,15 +47,15 @@ waiting at a stop line.  In batched mode :meth:`TrafficEngine.step_batch`
 emits plain crossings as index arrays (:class:`~repro.mobility.events.
 StepBatch`) consumed directly by the counting protocol — no per-crossing
 event objects.  ``vectorized=False`` selects the original seed per-vehicle
-loops, kept verbatim as the reference implementation for the golden-trace
-equivalence tests and the throughput benchmark baseline.
+loops, kept verbatim as the one reference implementation for the
+golden-trace equivalence tests and the throughput benchmark baseline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
@@ -122,16 +126,11 @@ class TrafficEngine:
         Master switch for lane changes.  ``False`` reproduces the paper's
         simple road model where traffic is strictly FIFO on every segment.
     vectorized:
-        Use the batch NumPy hot path (default).  ``False`` selects the
-        original per-vehicle reference loops; both modes produce identical
-        event streams and state for the same RNG.
-    compiled:
-        Opt in to the compiled inner step kernel (:mod:`repro.mobility.
-        kernels`): the whole gather→advance→scatter recurrence runs as one
-        native call (numba when importable, otherwise a small C library
-        built with the system compiler).  A *request*, not a requirement —
-        when no backend loads the engine silently runs its NumPy path, and
-        every backend is bit-for-bit identical to it (golden-trace pinned).
+        Use the fast path (default): resident arrays driven by the native
+        step kernel (:mod:`repro.mobility.kernels`), or by its NumPy
+        fallback on a host with no C compiler.  ``False`` selects the
+        original per-vehicle reference loops; all of them produce identical
+        event streams and state for the same RNG (golden-trace pinned).
     """
 
     def __init__(
@@ -145,7 +144,6 @@ class TrafficEngine:
         lane_change: Optional[LaneChangeModel] = None,
         allow_overtaking: bool = True,
         vectorized: bool = True,
-        compiled: bool = False,
     ) -> None:
         if dt_s <= 0:
             raise MobilityError(f"dt_s must be positive, got {dt_s!r}")
@@ -159,16 +157,10 @@ class TrafficEngine:
         self.lane_change = lane_change if lane_change is not None else LaneChangeModel()
         self.allow_overtaking = bool(allow_overtaking)
         self.vectorized = bool(vectorized)
-        self.compiled = bool(compiled)
-        #: which batch tail implementations the vectorized step uses:
-        #: "fast" (default) = in-place chained advance (compiled kernel or
-        #: single NumPy pass) + occupied-lane-filtered overtake detection +
-        #: span-sliced lane-change viability; "legacy" = the pre-batching
-        #: tails, kept verbatim as the benchmark baseline
-        #: (benchmarks/bench_irregular.py flips this).
-        self._tails = "fast"
+        #: the native step kernel; None on the reference engine and on the
+        #: NumPy fallback (no C compiler on this host).
         self._kernel: Optional[StepKernel] = None
-        if self.compiled and self.vectorized:
+        if self.vectorized:
             cf = self.car_following
             self._kernel = load_step_kernel(
                 dt_s=self.dt_s,
@@ -206,8 +198,8 @@ class TrafficEngine:
         # so the hot step never walks the empty part of the network.
         self._occupied: List[int] = []
         # Sorted subset of ``_occupied``: the multilane edges, maintained at
-        # the same occupancy transitions — the fast tails consult it instead
-        # of re-deriving watch eligibility per edge per step.
+        # the same occupancy transitions — the NumPy overtake scan consults
+        # it instead of re-deriving watch eligibility per edge per step.
         self._occupied_ml: List[int] = []
         # Sparse: edges with vehicles waiting at the stop line, and those
         # vehicles themselves (always their lane's head).
@@ -258,53 +250,39 @@ class TrafficEngine:
         n_edges = len(self._state_by_index)
         self._gather_cache: List[Optional[np.ndarray]] = [None] * n_edges
         #: edges whose gather cache entry was invalidated since the last
-        #: fast gather — processed (rebuilt) up front each step so the
-        #: gather's per-edge walk is two plain list comprehensions.
+        #: gather — processed (rebuilt) up front each step so the gather's
+        #: per-edge walk needs no per-edge checks.
         self._gather_dirty: Set[int] = set()
-        #: per-edge gathered counts of the current step, aligned with
-        #: ``_occupied`` (kept for the lazy watch-span computation); None
-        #: when the pointer-table gather ran instead (the counts then live
-        #: in ``_gather_len`` and are materialized only on demand).
-        self._gather_counts: Optional[List[int]] = []
-        #: per-edge count of non-empty lanes and cumulative per-lane gather
-        #: offsets (length ``lanes + 1``, empty lanes included), refreshed
-        #: together with ``_gather_cache`` — the fast tails use them to skip
-        #: overtake detection on segments whose vehicles all share one lane
-        #: and to slice lane-change viability spans without walking lists.
+        #: per-edge count of non-empty lanes, refreshed together with
+        #: ``_gather_cache`` — used to skip overtake detection on segments
+        #: whose vehicles all share one lane.
         self._occ_lanes: List[int] = [0] * n_edges
-        self._lane_bounds: List[List[int]] = [[0] for _ in range(n_edges)]
-        #: per-edge overtake ranking slots (ascending (pos, vid)), kept
+        #: per-edge overtake ranking as (slot array, vid array) pairs,
         #: index-parallel to ``_ranked``'s vehicle lists; None = dirty.
-        self._ranked_cache: List[Optional[List[int]]] = [None] * n_edges
-        #: fast-tail variant of ``_ranked_cache``: per-edge (slot array,
-        #: vid array) pairs, so the overtake scan concatenates resident
-        #: arrays and resolves positional ties vectorized; None = dirty.
         self._ranked_np: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_edges
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
         # arrival/movement masks, the lane-change candidate mask and the
-        # overtake-scan concat targets.  The compiled kernel binds the
-        # first four once per capacity change, making each per-step native
-        # call a cached-pointer invocation with only the count varying.
+        # NumPy overtake scan's concat targets.  The kernel binds the first
+        # four once per capacity change, making each per-step native call a
+        # cached-pointer invocation with only the count varying.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._moved_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
         self._rank_buf = np.empty(0, dtype=np.intp)
         self._vid_buf = np.empty(0, dtype=np.int64)
-        # Edge-count-sized (static) scratch: watched-edge ranking lengths
-        # in, per-edge inversion flags out, for the compiled ranking scan.
-        self._lens_buf = np.empty(n_edges, dtype=np.int64)
+        # Edge-count-sized (static) scratch: per-edge inversion flags out of
+        # the kernel's ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
-        # Pointer tables for the C backend's full-edge sweeps: per-edge
+        # Pointer tables for the kernel's full-edge sweeps: per-edge
         # address + length of the cached gather slot array and of the
         # cached ranking (slot, vid) arrays, plus the occupied-edge index
         # mirror and the per-edge ranking-scan eligibility byte.  Updated
         # only where the corresponding cache entry changes (a handful of
         # edges per step), so the steady-state gather and overtake scan
-        # are each one bound native call with no per-edge Python walk.
-        # numba cannot dereference raw addresses, so that backend (and the
-        # plain NumPy path) keeps the per-edge comprehension paths.
+        # are each one bound native call with no per-edge Python walk.  The
+        # NumPy fallback keeps the per-edge comprehension paths.
         self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
         self._gather_len = np.zeros(n_edges, dtype=np.int64)
         self._occ_buf = np.zeros(n_edges, dtype=np.int64)
@@ -335,7 +313,6 @@ class TrafficEngine:
         #: the next pointer-table scan (cache invalidated or occupied-lane
         #: count changed).
         self._rank_dirty: Set[int] = set()
-        self._use_tables = self._kernel is not None and self._kernel.has_tables
         if self._kernel is not None:
             self._bind_kernel()
         self._kinematics_stale = False
@@ -452,7 +429,7 @@ class TrafficEngine:
             self._bind_kernel()
 
     def _bind_kernel(self) -> None:
-        """(Re-)bind the compiled kernel to the current resident arrays.
+        """(Re-)bind the native kernel to the current resident arrays.
 
         Called whenever any bound array is reallocated (capacity growth);
         afterwards each step's native call passes only the element count.
@@ -475,10 +452,7 @@ class TrafficEngine:
             self._cand_buf,
             lc.blocked_distance_m,
             lc.speed_gain_threshold_mps,
-            self._rank_buf,
-            self._vid_buf,
-            self._lens_buf,
-            self._flags_buf,
+            flags_buf=self._flags_buf,
             occ_buf=self._occ_buf,
             gather_ptr=self._gather_ptr,
             gather_len=self._gather_len,
@@ -612,7 +586,6 @@ class TrafficEngine:
             ranked = self._ranked[order]
             if ranked is not None:
                 insort(ranked, vehicle, key=self._rank_sort_key)
-                self._ranked_cache[order] = None
                 self._ranked_np[order] = None
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
@@ -641,7 +614,6 @@ class TrafficEngine:
             ranked = self._ranked[order]
             if ranked is not None:
                 ranked.remove(vehicle)
-                self._ranked_cache[order] = None
                 self._ranked_np[order] = None
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
@@ -737,10 +709,7 @@ class TrafficEngine:
 
     def _step_core(self, events: List) -> None:
         if self.vectorized:
-            if self._tails == "legacy":
-                self._advance_segments_batch_legacy(events)
-            else:
-                self._advance_segments_batch(events)
+            self._advance_segments_batch(events)
             self._process_intersections_indexed(events)
         else:
             self._advance_segments(events)
@@ -757,7 +726,7 @@ class TrafficEngine:
         return out
 
     # ------------------------------------------- segment dynamics (batched)
-    def _rebuild_gather(self, ei: int) -> np.ndarray:
+    def _rebuild_gather(self, ei: int) -> None:
         """Rebuild one edge's gathered slot array (and lane-head flags).
 
         Only called for edges whose lane lists changed since their last
@@ -792,30 +761,30 @@ class TrafficEngine:
         self._gather_len[ei] = k
         self._bounds_np[ei][:] = bounds
         self._occ_lanes[ei] = occupied_lanes
-        self._lane_bounds[ei] = bounds
-        if self._use_tables and self._edge_ml[ei]:
+        if self._kernel is not None and self._edge_ml[ei]:
             # The occupied-lane count gates ranking-scan eligibility;
             # re-derive it before the next pointer-table scan.
             self._rank_dirty.add(ei)
-        return part
 
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
-        """Advance every occupied segment — fast tails, optional kernel.
+        """Advance every occupied segment (the vectorized step).
 
-        Gather and lane changes as in the legacy path (cached per-edge slot
-        arrays; vectorized blocked-follower predicate; scalar-RNG-order
-        target-lane choice, with viability checked on sliced position spans
-        instead of lane-list walks).  The advance itself then takes one of
-        two equivalent forms:
+        Gather the cached per-edge slot arrays (lane lists are kept front
+        to back, so a follower's in-lane leader is the previous gather
+        index), evaluate the blocked-follower predicate over the whole
+        gather, run the scalar-RNG-order target-lane choice for the actual
+        candidates only, then advance.  The step takes one of two
+        equivalent forms:
 
-        * **compiled kernel** (``MobilityConfig.compiled`` and a backend
-          loaded): a single native call sweeps the gather order updating the
-          resident position/speed arrays *in place* — each follower
-          naturally reads its leader's already-written post-step state, so
-          the whole front-to-back recurrence runs in one pass with no
-          classify/rounds machinery, returning the arrival and movement
-          masks;
-        * **NumPy**: the legacy classify / exact-rounds / scalar-tail
+        * **native kernel** (loaded whenever a C compiler is available):
+          bound native calls gather through the pointer table, build the
+          candidate mask, test lane viability and sweep the gather order
+          updating the resident position/speed arrays *in place* — each
+          follower naturally reads its leader's already-written post-step
+          state, so the whole front-to-back recurrence runs in one pass,
+          returning the arrival and movement masks;
+        * **NumPy fallback**: gathered columns, viability checked on sliced
+          position spans, and the classify / exact-rounds / scalar-tail
           resolution, with the arrival bookkeeping folded into one
           vectorized pass over the ``_wait_flag`` mirror.
 
@@ -845,31 +814,17 @@ class TrafficEngine:
         kernel = self._kernel
         if kernel is not None:
             # The kernel path never gathers kinematic columns: the
-            # candidate mask comes from the compiled predicate over the
-            # resident arrays, and lane-change viability spans are sliced
-            # lazily per candidate-bearing segment.
-            if watching and kernel.candidates_bound(n):
-                if self._use_tables:
-                    if self._lane_change_batch_table(idx, self._cand_buf[:n]):
-                        # Accepted moves re-ordered some lanes: rebuild
-                        # their caches and redo the whole gather with one
-                        # bound table call (values outside the patched
-                        # edges are rewritten unchanged, so the result is
-                        # identical to span patching).
-                        cache = self._gather_cache
-                        dirty = self._gather_dirty
-                        for di in dirty:
-                            if cache[di] is None:
-                                self._rebuild_gather(di)
-                        dirty.clear()
-                        kernel.gather_bound(len(self._occupied))
-                else:
-                    watch_ei, w_lo, w_hi = self._watch_spans()
-                    patched = self._lane_change_batch(
-                        idx, self._cand_buf[:n], None, watch_ei, w_lo, w_hi
-                    )
-                    for ei, s, e in patched:
-                        idx[s:e] = self._rebuild_gather(ei)
+            # candidate mask comes from the native predicate over the
+            # resident arrays.
+            if (
+                watching
+                and kernel.candidates_bound(n)
+                and self._lane_change_batch(idx, self._cand_buf[:n], kernel.lane_opts_bound)
+            ):
+                # Accepted moves re-ordered some lanes: redo the gather
+                # (one bound call; the edges that did not change are
+                # rewritten with the same slots).
+                self._gather_fast()
             # One native call: in-place resident-array sweep in gather
             # order (the exact reference recurrence), arrival/movement
             # masks out.  The return value is the newly-arrived count, so
@@ -887,16 +842,10 @@ class TrafficEngine:
                     (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
                 )
                 cand &= self._ml[idx] & ~self._is_head[idx]
-                if cand.any():
-                    watch_ei, w_lo, w_hi = self._watch_spans()
-                    patched = self._lane_change_batch(
-                        idx, cand, pos, watch_ei, w_lo, w_hi
-                    )
-                    for ei, s, e in patched:
-                        part = self._rebuild_gather(ei)
-                        idx[s:e] = part
-                        pos[s:e] = pos_a[part]
-                        speed[s:e] = speed_a[part]
+                if cand.any() and self._lane_change_batch(idx, cand, self._lane_options):
+                    self._gather_fast()
+                    pos = pos_a[idx]
+                    speed = speed_a[idx]
             free = self._freeflow[idx]
             length = self._seglen[idx]
             heads = self._is_head[idx]
@@ -906,6 +855,10 @@ class TrafficEngine:
             cand_raw = pos + cand_speed * dt
             cand_pos = np.minimum(cand_raw, length)
 
+            # The vehicle at gather index i-1 is the in-lane leader of every
+            # non-head vehicle i, so plain shifted views bound its post-step
+            # position: below by its pre-step position, above by its
+            # candidate.
             unconstrained_f, stopped_f = cf.batch_classify(
                 pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
             )
@@ -922,6 +875,10 @@ class TrafficEngine:
 
             residual = np.nonzero(~resolved)[0]
             while residual.size > 24:
+                # Exact vectorized rounds: residual followers whose leader
+                # is already resolved see its final state, so every pass
+                # peels one chain depth and only short chained tails stay
+                # scalar.
                 ready = resolved[residual - 1]
                 if not ready.any():
                     break
@@ -935,6 +892,8 @@ class TrafficEngine:
                 residual = residual[~ready]
 
             if residual.size:
+                # Residual indices stay ascending, so the in-lane leader i-1
+                # of a residual i is always final when i is processed.
                 follow = cf.follow_scalar
                 for i in residual.tolist():
                     new_pos[i], new_speed[i] = follow(
@@ -966,208 +925,16 @@ class TrafficEngine:
         if watching:
             self._detect_overtakes_fast(events)
 
-    def _advance_segments_batch_legacy(self, events: List[TrafficEvent]) -> None:
-        """Pre-kernel batch advance, kept verbatim as the benchmark baseline.
-
-        This is the classify/rounds/scalar-tail formulation the fast path
-        (:meth:`_advance_segments_batch`) replaced; ``_tails = "legacy"``
-        selects it so ``benchmarks/bench_irregular.py`` can measure the
-        fast tails against their immediate predecessor in the same build.
-
-        Gather: concatenate the per-edge cached slot-index arrays (lane
-        lists are maintained in front-to-back order, so a follower's in-lane
-        leader is simply the previous gather index) and read the kinematic
-        columns straight out of the resident arrays — no per-vehicle
-        attribute packing.  Lane changes: the blocked-follower predicate is
-        evaluated vectorized over the gathered columns; only actual
-        candidates run the scalar target-lane logic (RNG order identical to
-        the reference scan).  Advance: compute every vehicle's free-flow
-        candidate vectorized, resolve the provably unconstrained and
-        provably stopped followers vectorized (see
-        :meth:`SimplifiedIDM.batch_classify`), settle remaining followers
-        whose leader is final in exact vectorized rounds, and run the scalar
-        front-to-back recurrence only for the short chained tail at queue
-        boundaries.  Scatter: one bulk write back into the resident arrays
-        and flag newly waiting vehicles for the intersection index.
-        """
-        dt = self.dt_s
-        cf = self.car_following
-        # Edge index and gather span of every multilane segment eligible for
-        # lane changes, whose position ranking must be checked after the
-        # advance (three parallel lists — built once per step).
-        watch_ei: List[int] = []
-        w_lo: List[int] = []
-        w_hi: List[int] = []
-        idx = self._gather(watch_ei if self.allow_overtaking else None, w_lo, w_hi)
-        if idx is None:
-            return
-        n = idx.shape[0]
-
-        pos_a = self._pos
-        speed_a = self._speed
-        pos = pos_a[idx]
-        speed = speed_a[idx]
-
-        if watch_ei:
-            patched = self._lane_change_batch_legacy(idx, pos, speed, watch_ei, w_lo, w_hi)
-            if patched:
-                # Accepted moves re-ordered some lanes: patch only those
-                # segments' gather spans in place (lane changes never move
-                # vehicles across segments or along them, so the spans and
-                # every other column entry are unchanged).
-                for ei, s, e in patched:
-                    part = self._rebuild_gather(ei)
-                    idx[s:e] = part
-                    span = idx[s:e]
-                    pos[s:e] = pos_a[span]
-                    speed[s:e] = speed_a[span]
-
-        free = self._freeflow[idx]
-        length = self._seglen[idx]
-        heads = self._is_head[idx]
-
-        vfree = cf.batch_free_speed(speed, free, dt)
-        cand_speed = np.maximum(0.0, vfree)
-        cand_raw = pos + cand_speed * dt
-        cand_pos = np.minimum(cand_raw, length)
-
-        # The vehicle at gather index i-1 is the in-lane leader of every
-        # non-head vehicle i, so plain shifted views bound its post-step
-        # position: below by its pre-step position, above by its candidate.
-        unconstrained_f, stopped_f = cf.batch_classify(
-            pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
-        )
-        stopped = np.zeros(n, dtype=bool)
-        stopped[1:] = stopped_f
-        stopped[heads] = False
-        resolved = np.empty(n, dtype=bool)
-        resolved[0] = False
-        resolved[1:] = unconstrained_f | stopped_f
-        resolved[heads] = True
-
-        new_pos = np.where(stopped, pos, cand_pos)
-        new_speed = np.where(stopped, 0.0, cand_speed)
-
-        residual = np.nonzero(~resolved)[0]
-        while residual.size > 24:
-            # Exact vectorized rounds: residual followers whose leader is
-            # already resolved see its final state, so their update is
-            # computable in one batch; every pass peels one chain depth and
-            # only short chained tails stay scalar.
-            ready = resolved[residual - 1]
-            if not ready.any():
-                break
-            ridx = residual[ready]
-            lidx = ridx - 1
-            new_pos[ridx], new_speed[ridx] = cf.batch_follow(
-                pos[ridx], vfree[ridx], new_pos[lidx], new_speed[lidx],
-                length[ridx], dt,
-            )
-            resolved[ridx] = True
-            residual = residual[~ready]
-
-        time_s = self.time_s
-        waiting = self._waiting
-        slot_vehicle = self._slot_vehicle
-        if residual.size:
-            # The residual set is a handful of queue-boundary vehicles, so
-            # scalar NumPy indexing beats materializing whole columns; the
-            # in-lane leader i-1 of a residual i is always final by the time
-            # i is processed (residual indices stay ascending).
-            follow = cf.follow_scalar
-            for i in residual.tolist():
-                length_i = length[i]
-                p, s = follow(
-                    pos[i], vfree[i], new_pos[i - 1], new_speed[i - 1],
-                    length_i, dt,
-                )
-                new_pos[i] = p
-                new_speed[i] = s
-                if p >= length_i - _ARRIVAL_EPS_M:
-                    v = slot_vehicle[int(idx[i])]
-                    if v.waiting_since_s is None:
-                        v.waiting_since_s = time_s
-                        waiting.setdefault(v.edge, []).append(v)
-
-        arrived = resolved & (new_pos >= length - _ARRIVAL_EPS_M)
-        if arrived.any():
-            for slot in idx[arrived].tolist():
-                v = slot_vehicle[slot]
-                if v.waiting_since_s is None:
-                    v.waiting_since_s = time_s
-                    waiting.setdefault(v.edge, []).append(v)
-
-        # Scatter: one bulk write into the resident arrays.  Stopped
-        # vehicles carry their exact prior bits through np.where, so the
-        # blanket write is bitwise identical to skipping them.
-        moved = new_pos != pos
-        pos_a[idx] = new_pos
-        self._speed[idx] = new_speed
-        self._kinematics_stale = True
-
-        if watch_ei:
-            self._detect_overtakes_batch(
-                watch_ei, w_lo, w_hi, moved, int(moved.sum()), events
-            )
-
-    def _gather(
-        self,
-        watch_ei: Optional[List[int]],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> Optional[np.ndarray]:
-        """Flatten the occupied edges' cached slot lists, in edge order.
-
-        When ``watch_ei`` is a list, the multilane segments eligible for
-        lane changes / overtake checks are recorded in the three parallel
-        span lists (edge index, gather start, gather end).  One
-        ``np.concatenate`` over the resident per-edge arrays scales to
-        city-size networks: flattening through a Python list first costs
-        O(vehicles) interpreter-level appends per step, which dominated the
-        gather at 100k vehicles.
-        """
-        parts: List[np.ndarray] = []
-        cache = self._gather_cache
-        rebuild = self._rebuild_gather
-        if watch_ei is None:
-            for ei in self._occupied:
-                part = cache[ei]
-                if part is None:
-                    part = rebuild(ei)
-                parts.append(part)
-        else:
-            state_by_index = self._state_by_index
-            base = 0
-            for ei in self._occupied:
-                part = cache[ei]
-                if part is None:
-                    part = rebuild(ei)
-                count = part.shape[0]
-                if count > 1 and state_by_index[ei][3]:  # multilane
-                    watch_ei.append(ei)
-                    w_lo.append(base)
-                    w_hi.append(base + count)
-                parts.append(part)
-                base += count
-        if not parts:
-            return None
-        out = np.concatenate(parts)
-        if out.shape[0] == 0:
-            return None
-        return out
-
     def _gather_fast(self) -> int:
-        """Buffer-backed :meth:`_gather`: flatten into ``_idx_buf``.
+        """Flatten the occupied edges' cached slot arrays into ``_idx_buf``.
 
-        Same edge walk, restructured for constant-factor speed: edges whose
-        cache was invalidated since the last gather (``_gather_dirty``) are
-        rebuilt up front, so the walk itself is two plain list
-        comprehensions plus one ``np.concatenate`` into the persistent
-        capacity-sized index buffer the compiled kernel is pointer-bound
-        to.  No watch-span bookkeeping here — most steps never need it, so
-        spans are derived lazily (:meth:`_watch_spans`) from the per-edge
-        counts this method records.  Returns the gathered element count
-        (0 = nothing occupied).
+        Edges whose cache was invalidated since the last gather
+        (``_gather_dirty``) are rebuilt up front.  With the kernel, one
+        bound native call then walks the pointer table; the NumPy fallback
+        does one ``np.concatenate`` over the per-edge arrays (flattening
+        through a Python list instead costs O(vehicles) interpreter-level
+        appends per step, which dominated the gather at 100k vehicles).
+        Returns the gathered element count (0 = nothing occupied).
         """
         cache = self._gather_cache
         dirty = self._gather_dirty
@@ -1177,151 +944,68 @@ class TrafficEngine:
                 if cache[ei] is None:
                     rebuild(ei)
             dirty.clear()
-        if self._use_tables:
-            # One bound native call walks the pointer table; the Python
-            # side only refreshes the occupied-edge mirror when membership
-            # actually changed.
-            occupied = self._occupied
+        occupied = self._occupied
+        kernel = self._kernel
+        if kernel is not None:
+            # The Python side only refreshes the occupied-edge mirror when
+            # membership actually changed.
             m = len(occupied)
             if self._occ_stale:
                 self._occ_buf[:m] = occupied
                 self._occ_stale = False
-            self._gather_counts = None
-            kernel = self._kernel
-            assert kernel is not None
             return kernel.gather_bound(m)
-        parts = cast("List[np.ndarray]", [cache[ei] for ei in self._occupied])
-        counts = [part.shape[0] for part in parts]
-        self._gather_counts = counts
-        total = sum(counts)
+        parts = cast("List[np.ndarray]", [cache[ei] for ei in occupied])
+        total = sum([part.shape[0] for part in parts])
         if total:
             np.concatenate(parts, out=self._idx_buf[:total])
         return total
 
-    def _watch_spans(self) -> Tuple[List[int], List[int], List[int]]:
-        """Gather spans of the watched (multilane, >1 vehicle) segments.
+    def _lane_options(self, ei: int, lane: int, nlanes: int, own: float) -> int:
+        """NumPy port of the kernel's both-neighbour lane viability test.
 
-        Derived on demand from the per-edge counts of the current gather —
-        only the steps with actual lane-change candidates (and the NumPy
-        tail's candidate-bearing steps) pay for the span walk.
+        Bit 0: ``lane + 1`` exists and no vehicle in it is within half the
+        required gap of ``own``; bit 1: the same for ``lane - 1``.  Reads
+        the edge's cached gather (lane-major, delimited by ``_bounds_np``)
+        and the pre-advance resident positions, with the scalar model's
+        ``|other - own| < half`` float sequence (see
+        :func:`~repro.mobility.kernels.lane_options_py`).
         """
-        watch_ei: List[int] = []
-        w_lo: List[int] = []
-        w_hi: List[int] = []
-        ml = self._edge_ml
-        counts = self._gather_counts
-        if counts is None:
-            # Pointer-table gather: materialize the per-edge counts from
-            # the length table (only candidate-bearing steps get here).
-            counts = self._gather_len[self._occ_buf[: len(self._occupied)]].tolist()
-        base = 0
-        for ei, count in zip(self._occupied, counts):
-            nxt = base + count
-            if count > 1 and ml[ei]:
-                watch_ei.append(ei)
-                w_lo.append(base)
-                w_hi.append(nxt)
-            base = nxt
-        return watch_ei, w_lo, w_hi
+        slots = self._gather_cache[ei]
+        assert slots is not None
+        bounds = self._bounds_np[ei]
+        half = self.lane_change.required_gap_m / 2.0
+        bits = 0
+        for bit, target in ((1, lane + 1), (2, lane - 1)):
+            if 0 <= target < nlanes:
+                others = self._pos[slots[bounds[target] : bounds[target + 1]]]
+                if not (np.abs(others - own) < half).any():
+                    bits |= bit
+        return bits
 
     def _lane_change_batch(
         self,
         idx: np.ndarray,
         cand: np.ndarray,
-        pos: Optional[np.ndarray],
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> List[Tuple[int, int, int]]:
-        """Fast lane-change pass: span-sliced viability checks.
+        lane_opts: Callable[[int, int, int, float], int],
+    ) -> bool:
+        """Lane-change pass over the gather-aligned candidate mask.
 
-        Same structure and RNG order as :meth:`_lane_change_batch_legacy`
-        (candidates visited in gather order, per-segment pending moves
-        applied at the segment boundary), but driven by a precomputed
-        gather-aligned candidate mask — the caller's NumPy blocked-follower
-        predicate or the compiled kernel's, bit-identical either way — and
-        each candidate's target-lane viability is evaluated on a slice of
-        the segment's position span (the per-edge ``_lane_bounds`` offsets
-        delimit each lane's sub-span) instead of walking the lane lists.
-        ``pos`` is the gathered pre-advance position column when the caller
-        has one; on the compiled-kernel path (which gathers no columns) it
-        is None and each candidate-bearing segment's span is gathered
-        lazily from the resident array — advance has not run yet, so the
-        values are identical.  The viability comparison (``|other - own| <
-        half``) is the same float operation sequence as the scalar model,
-        so decisions are bit-for-bit the same.
-        """
-        patched: List[Tuple[int, int, int]] = []
-        slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
-        lane_bounds = self._lane_bounds
-        pos_a = self._pos
-        rng = self.rng
-        wi = 0
-        ei = watch_ei[0]
-        span_start = w_lo[0]
-        span_end = w_hi[0]
-        st = state_by_index[ei]
-        seg = st[0]
-        lanes = st[2]
-        bounds = lane_bounds[ei]
-        span_pos: Optional[np.ndarray] = None
-        pending: List[Tuple[Vehicle, int]] = []
-        for i in cand.nonzero()[0].tolist():
-            if i >= span_end:
-                if pending:
-                    self._apply_lane_moves(ei, lanes, pending)
-                    patched.append((ei, span_start, span_end))
-                    pending = []
-                while w_hi[wi] <= i:
-                    wi += 1
-                ei = watch_ei[wi]
-                span_start = w_lo[wi]
-                span_end = w_hi[wi]
-                st = state_by_index[ei]
-                seg = st[0]
-                lanes = st[2]
-                bounds = lane_bounds[ei]
-                span_pos = None
-            if span_pos is None:
-                span_pos = (
-                    pos[span_start:span_end]
-                    if pos is not None
-                    else pos_a[idx[span_start:span_end]]
-                )
-            v = slot_vehicle[int(idx[i])]
-            target = self._target_lane_fast(v, seg.lanes, bounds, span_pos, rng)
-            if target is not None:
-                pending.append((v, target))
-        if pending:
-            self._apply_lane_moves(ei, lanes, pending)
-            patched.append((ei, span_start, span_end))
-        return patched
-
-    def _lane_change_batch_table(self, idx: np.ndarray, cand: np.ndarray) -> bool:
-        """Pointer-table lane-change pass (C backend only).
-
-        Same candidate order, RNG consumption and per-segment move
-        batching as :meth:`_lane_change_batch`, with two structural
-        differences: segment boundaries come from each candidate vehicle's
-        own edge (the gather is edge-block-ordered, so grouping is
-        identical and no watch spans are needed), and target-lane
-        viability is one bound native call per candidate reading the
-        gather and lane-bounds tables (:func:`lane_options_py` is the
-        reference; the gap comparison is the scalar model's exact float
-        sequence).  Returns whether any segment's lane order changed — the
-        caller then redoes the gather through the pointer table instead of
-        span patching.
+        Candidates are visited in gather order, which is exactly the
+        reference engine's segment-by-segment, lane-by-lane, front-to-back
+        scan order; segment boundaries come from each candidate's own edge
+        (the gather is edge-block-ordered).  Decisions within a segment read
+        the pre-change lane lists (the reference pass applies its moves only
+        after scanning the whole segment), so accepted moves are buffered
+        and applied at the segment boundary.  ``lane_opts(ei, lane, nlanes,
+        own)`` returns the both-neighbour viability bits: the kernel's bound
+        ``lane_options`` call or :meth:`_lane_options`.  Returns whether any
+        segment's lane order changed — the caller then redoes the gather.
         """
         slot_vehicle = self._slot_vehicle
         state_by_index = self._state_by_index
         edge_order = self._edge_order
         pos_a = self._pos
-        lc = self.lane_change
-        politeness = lc.politeness
-        kernel = self._kernel
-        assert kernel is not None
-        lane_opts = kernel.lane_opts_bound
+        politeness = self.lane_change.politeness
         rng = self.rng
         cur = -1
         seg_lanes = 0
@@ -1341,8 +1025,8 @@ class TrafficEngine:
                 st = state_by_index[ei]
                 seg_lanes = st[0].lanes
                 lanes = st[2]
-            # Inline scalar target-lane choice: politeness veto first (one
-            # uniform per candidate, like the reference scan), then the
+            # Scalar target-lane choice (LaneChangeModel.target_lane):
+            # politeness veto first (one uniform per candidate), then the
             # both-neighbour viability bits, then the tie draw only when
             # both neighbours are viable — identical RNG stream.
             if rng.random() < politeness:
@@ -1361,153 +1045,6 @@ class TrafficEngine:
             self._apply_lane_moves(cur, lanes, pending)
             patched = True
         return patched
-
-    def _target_lane_fast(
-        self,
-        vehicle: Vehicle,
-        seg_lanes: int,
-        bounds: List[int],
-        span_pos: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Span-sliced port of :meth:`LaneChangeModel.target_lane`.
-
-        ``span_pos`` holds the segment's gathered (pre-advance) positions,
-        lane-major; ``bounds[l] : bounds[l + 1]`` is lane ``l``'s sub-span.
-        Viability of an adjacent lane is one vectorized gap test over that
-        slice.  RNG draws (politeness first, then the two-candidate
-        tie-break) and candidate order are identical to the model's scalar
-        scan, which the engine-mode agreement tests pin.
-        """
-        lc = self.lane_change
-        if seg_lanes < 2:
-            return None
-        if rng.random() < lc.politeness:
-            return None
-        own = self._pos[vehicle.slot]
-        half = lc.required_gap_m / 2.0
-        candidates = []
-        for delta in (1, -1):
-            lane = vehicle.lane + delta
-            if 0 <= lane < seg_lanes:
-                others = span_pos[bounds[lane] : bounds[lane + 1]]
-                if not (np.abs(others - own) < half).any():
-                    candidates.append(lane)
-        if not candidates:
-            return None
-        return int(
-            candidates[0]
-            if len(candidates) == 1
-            else candidates[int(rng.integers(len(candidates)))]
-        )
-
-    def _lane_change_batch_legacy(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> List[Tuple[int, int, int]]:
-        """Vectorized lane-change pass over the gathered columns.
-
-        The blocked-follower predicate of
-        :meth:`LaneChangeModel.wants_to_change` is evaluated in one shot —
-        a follower's in-lane leader is gather index ``i-1`` — and must stay
-        boolean-identical to the scalar model (the engine-mode agreement
-        tests fail on divergence).  Candidates then run the scalar
-        target-lane choice in gather order, which is exactly the reference
-        engine's segment-by-segment, lane-by-lane, front-to-back scan order,
-        so the RNG stream is consumed identically.  Decisions within a
-        segment read the pre-change lane lists (the reference pass applies
-        its moves only after scanning the whole segment), so accepted moves
-        are buffered per segment and applied at the segment boundary.
-        Returns the ``(edge index, start, end)`` gather spans of the
-        segments whose lane order actually changed.
-        """
-        lc = self.lane_change
-        desired = self._desired[idx]
-        n = idx.shape[0]
-        cand = np.zeros(n, dtype=bool)
-        cand[1:] = ((pos[:-1] - pos[1:]) <= lc.blocked_distance_m) & (
-            (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
-        )
-        cand &= self._ml[idx] & ~self._is_head[idx]
-        patched: List[Tuple[int, int, int]] = []
-        if not cand.any():
-            return patched
-        slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
-        rng = self.rng
-        wi = 0
-        ei = watch_ei[0]
-        span_start = w_lo[0]
-        span_end = w_hi[0]
-        st = state_by_index[ei]
-        seg = st[0]
-        lanes = st[2]
-        pending: List[Tuple[Vehicle, int]] = []
-        for i in cand.nonzero()[0].tolist():
-            if i >= span_end:
-                if pending:
-                    self._apply_lane_moves(ei, lanes, pending)
-                    patched.append((ei, span_start, span_end))
-                    pending = []
-                while w_hi[wi] <= i:
-                    wi += 1
-                ei = watch_ei[wi]
-                span_start = w_lo[wi]
-                span_end = w_hi[wi]
-                st = state_by_index[ei]
-                seg = st[0]
-                lanes = st[2]
-            v = slot_vehicle[int(idx[i])]
-            target = self._target_lane_soa(v, seg.lanes, lanes, rng)
-            if target is not None:
-                pending.append((v, target))
-        if pending:
-            self._apply_lane_moves(ei, lanes, pending)
-            patched.append((ei, span_start, span_end))
-        return patched
-
-    def _target_lane_soa(
-        self,
-        vehicle: Vehicle,
-        seg_lanes: int,
-        lanes: List[List[Vehicle]],
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Resident-array port of :meth:`LaneChangeModel.target_lane`.
-
-        Reads positions from the resident arrays instead of the (stale
-        during the step) Vehicle mirrors; RNG draws and candidate order are
-        identical to the model, which the engine-mode agreement tests pin.
-        """
-        lc = self.lane_change
-        if seg_lanes < 2:
-            return None
-        if rng.random() < lc.politeness:
-            return None
-        pos = self._pos
-        own = pos[vehicle.slot]
-        half = lc.required_gap_m / 2.0
-        candidates = []
-        for delta in (1, -1):
-            lane = vehicle.lane + delta
-            if 0 <= lane < seg_lanes:
-                for other in lanes[lane]:
-                    if abs(pos[other.slot] - own) < half:
-                        break
-                else:
-                    candidates.append(lane)
-        if not candidates:
-            return None
-        return int(
-            candidates[0]
-            if len(candidates) == 1
-            else candidates[int(rng.integers(len(candidates)))]
-        )
 
     def _apply_lane_moves(
         self,
@@ -1531,203 +1068,105 @@ class TrafficEngine:
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
         """Post-step overtake scan over resident per-edge ranking arrays.
 
-        Same contract as :meth:`_detect_overtakes_batch` — confirm each
-        watched segment's cached ascending (position, vid) ranking, emit
-        flipped pairs where it inverted — with three structural savings:
-        segments whose vehicles currently share a single lane are skipped
+        Confirms each watched segment's cached ascending (position, vid)
+        ranking and emits the flipped pairs where it inverted.  Segments
+        whose vehicles currently share a single lane are skipped
         (``_occ_lanes``; a one-lane ranking cannot invert, see
-        :meth:`_advance_segments_batch`), the per-edge rankings are cached
-        as (slot, vid) array pairs concatenated into persistent buffers,
-        and positional ties resolve their vid comparison vectorized against
-        the cached vid arrays instead of per-pair Python lookups — ties are
-        routine (queues clamp at the stop line), inversions are not, so the
-        common step is a pure array scan with no Python per-tie work.
-        The watched set is ``_occupied_ml`` directly (its ordering is the
-        gather's edge ordering, so cross-edge event order is unchanged);
-        comprehension-driven, with invalidated cache pairs repaired in a
-        short second pass (typically one or two edges per step).
+        :meth:`_advance_segments_batch`).  The kernel sweeps every edge in
+        one bound call, gated by the ``_rank_elig`` byte that is repaired
+        here for the edges invalidated since the last scan (a handful per
+        step).  The NumPy fallback concatenates the watched rankings (the
+        ``_occupied_ml`` edges, in gather order) into persistent buffers
+        and resolves positional ties vectorized against the cached vid
+        arrays — ties are routine (queues clamp at the stop line),
+        inversions are not, so the common step is a pure array scan.
         """
         occ = self._occ_lanes
-        cache = self._ranked_np
-        if self._use_tables:
-            # Pointer-table scan: repair the dirty eligibility entries
-            # (ranking cache invalidated or occupied-lane count changed —
-            # a handful of edges per step), then one bound native call
-            # sweeps every edge.  ``elig`` encodes exactly the watched set
-            # of the packed path: multilane, more than one occupied lane,
-            # ranking cache fresh with its table slot current.
+        kernel = self._kernel
+        if kernel is not None:
             dirty = self._rank_dirty
             if dirty:
-                ranked_l = self._ranked
                 elig = self._rank_elig
-                ptr_s = self._rank_ptr_s
-                ptr_v = self._rank_ptr_v
-                rlen = self._rank_len
-                sbufs = self._rank_sbufs
-                vbufs = self._rank_vbufs
                 for di in dirty:
                     if occ[di] > 1:
-                        pair = cache[di]
-                        if pair is None:
-                            chain = ranked_l[di]
-                            assert chain is not None
-                            k = len(chain)
-                            sb = sbufs[di]
-                            vb = vbufs[di]
-                            if sb is None or vb is None or sb.shape[0] < k:
-                                cap = max(4, k, 0 if sb is None else 2 * sb.shape[0])
-                                sb = np.empty(cap, dtype=np.intp)
-                                vb = np.empty(cap, dtype=np.int64)
-                                sbufs[di] = sb
-                                vbufs[di] = vb
-                                ptr_s[di] = sb.ctypes.data
-                                ptr_v[di] = vb.ctypes.data
-                            sb[:k] = [v.slot for v in chain]
-                            vb[:k] = [v.vid for v in chain]
-                            rlen[di] = k
-                            cache[di] = (sb[:k], vb[:k])
+                        self._ranking(di)
                         elig[di] = 1
                     else:
                         elig[di] = 0
                 dirty.clear()
-            kernel_t = self._kernel
-            assert kernel_t is not None
-            if not kernel_t.rank_all_bound():
+            if not kernel.rank_all_bound():
                 return
-            ranked_l = self._ranked
-            for ei in np.nonzero(self._flags_buf)[0].tolist():
-                chain = ranked_l[ei]
-                assert chain is not None
-                ranked_l[ei] = self._emit_overtakes(ei, chain, events)
-            return
-        eis = [ei for ei in self._occupied_ml if occ[ei] > 1]
-        if not eis:
-            return
-        raw = [cache[ei] for ei in eis]
-        if None in raw:
-            ranked = self._ranked
-            for j, entry in enumerate(raw):
-                if entry is None:
-                    chain = ranked[eis[j]]
-                    assert chain is not None
-                    entry = (
-                        np.array([v.slot for v in chain], dtype=np.intp),
-                        np.array([v.vid for v in chain], dtype=np.int64),
-                    )
-                    cache[eis[j]] = entry
-                    raw[j] = entry
-        pairs = cast("List[Tuple[np.ndarray, np.ndarray]]", raw)
-        parts_s = [pair[0] for pair in pairs]
-        parts_v = [pair[1] for pair in pairs]
-        lens = [part.shape[0] for part in parts_s]
-        ranked = self._ranked
-        kernel = self._kernel
-        if kernel is not None:
-            # Compiled scan: positions read straight through the slot
-            # indices, one flag per edge — no gather, no boundary masking.
-            m = len(eis)
-            total = sum(lens)
-            np.concatenate(parts_s, out=self._rank_buf[:total])
-            np.concatenate(parts_v, out=self._vid_buf[:total])
-            self._lens_buf[:m] = lens
-            if not kernel.rank_bound(m):
-                return
-            for j in np.nonzero(self._flags_buf[:m])[0].tolist():
-                ei = eis[j]
-                chain = ranked[ei]
-                assert chain is not None
-                ranked[ei] = self._emit_overtakes(ei, chain, events)
-            return
-        if len(eis) == 1:
-            slots_all = parts_s[0]
-            vids_all = parts_v[0]
+            flagged = np.nonzero(self._flags_buf)[0].tolist()
         else:
-            total = sum(lens)
-            slots_all = self._rank_buf[:total]
-            vids_all = self._vid_buf[:total]
-            np.concatenate(parts_s, out=slots_all)
-            np.concatenate(parts_v, out=vids_all)
-        arr = self._pos[slots_all]
-        prev = arr[:-1]
-        nxt = arr[1:]
-        bad = nxt < prev
-        # A positional tie is an inversion when the vid order disagrees.
-        ties = nxt == prev
-        np.logical_and(ties, vids_all[:-1] > vids_all[1:], out=ties)
-        np.logical_or(bad, ties, out=bad)
-        bounds = np.cumsum(lens)
-        bad[bounds[:-1] - 1] = False
-        hits = np.nonzero(bad)[0]
-        if hits.size == 0:
-            return
-        for j in np.unique(np.searchsorted(bounds, hits, side="right")).tolist():
-            ei = eis[j]
+            eis = [ei for ei in self._occupied_ml if occ[ei] > 1]
+            if not eis:
+                return
+            cache = self._ranked_np
+            raw = [cache[ei] for ei in eis]
+            if None in raw:
+                raw = [self._ranking(ei) for ei in eis]
+            pairs = cast("List[Tuple[np.ndarray, np.ndarray]]", raw)
+            lens = [pair[0].shape[0] for pair in pairs]
+            if len(eis) == 1:
+                slots_all, vids_all = pairs[0]
+            else:
+                total = sum(lens)
+                slots_all = self._rank_buf[:total]
+                vids_all = self._vid_buf[:total]
+                np.concatenate([pair[0] for pair in pairs], out=slots_all)
+                np.concatenate([pair[1] for pair in pairs], out=vids_all)
+            arr = self._pos[slots_all]
+            prev = arr[:-1]
+            nxt = arr[1:]
+            bad = nxt < prev
+            # A positional tie is an inversion when the vid order disagrees.
+            ties = nxt == prev
+            np.logical_and(ties, vids_all[:-1] > vids_all[1:], out=ties)
+            np.logical_or(bad, ties, out=bad)
+            bounds = np.cumsum(lens)
+            bad[bounds[:-1] - 1] = False
+            hits = np.nonzero(bad)[0]
+            if hits.size == 0:
+                return
+            flagged = [
+                eis[j]
+                for j in np.unique(np.searchsorted(bounds, hits, side="right")).tolist()
+            ]
+        ranked = self._ranked
+        for ei in flagged:
             chain = ranked[ei]
             assert chain is not None
             ranked[ei] = self._emit_overtakes(ei, chain, events)
 
-    def _detect_overtakes_batch(
-        self,
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-        moved: np.ndarray,
-        n_moved: int,
-        events: List[TrafficEvent],
-    ) -> None:
-        """Check every watched segment's cached overtake ranking, post-step.
+    def _ranking(self, ei: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Edge ``ei``'s cached (slot, vid) ranking arrays, rebuilt if dirty.
 
-        ``_ranked`` holds each multilane segment's vehicles in ascending
-        (position, vid) order; car following preserves in-lane order and
-        lane changes do not move vehicles longitudinally, so the cache stays
-        valid across steps and one vectorized monotonicity scan of the
-        post-step positions confirms it.  Segments where nothing moved this
-        step are filtered out wholesale first; only segments where the scan
-        finds an inversion — an actual overtake — enumerate their flipped
-        pairs (in the reference engine's insertion-order pair sequence) and
-        re-sort their cache.
+        The arrays are prefixes of grow-only per-edge buffers with stable
+        addresses, so a rebuild is a bulk copy and the kernel's ranking
+        pointer table changes only when a buffer actually grows.
         """
-        if len(watch_ei) > 1 and n_moved * 2 < moved.size:
-            # Mostly-jammed network: drop the watched segments where nothing
-            # moved at all (their ranking trivially cannot have changed).
-            csum = np.concatenate(([0], np.cumsum(moved)))
-            any_moved = csum[np.array(w_hi)] > csum[np.array(w_lo)]
-            if not any_moved.all():
-                watch_ei = [ei for ei, m in zip(watch_ei, any_moved.tolist()) if m]
-                if not watch_ei:
-                    return
-        ranked = self._ranked
-        ranked_cache = self._ranked_cache
-        flat: List[int] = []
-        lens: List[int] = []
-        for ei in watch_ei:
-            part = ranked_cache[ei]
-            if part is None:
-                part = [v.slot for v in ranked[ei]]
-                ranked_cache[ei] = part
-            flat += part
-            lens.append(len(part))
-        arr = self._pos[np.array(flat, dtype=np.intp)]
-        inverted = arr[1:] < arr[:-1]
-        bounds = np.cumsum(lens)
-        inverted[bounds[:-1] - 1] = False
-        flagged = set(np.searchsorted(bounds, np.nonzero(inverted)[0], side="right").tolist())
-        ties = arr[1:] == arr[:-1]
-        ties[bounds[:-1] - 1] = False
-        if ties.any():
-            # A positional tie is an inversion when the vid order disagrees.
-            offsets = np.concatenate(([0], bounds[:-1]))
-            for k in np.nonzero(ties)[0].tolist():
-                j = int(np.searchsorted(bounds, k, side="right"))
-                local = k - int(offsets[j])
-                chain = ranked[watch_ei[j]]
-                if chain[local].vid > chain[local + 1].vid:
-                    flagged.add(j)
-        if not flagged:
-            return
-        for j in sorted(flagged):
-            ei = watch_ei[j]
-            ranked[ei] = self._emit_overtakes(ei, ranked[ei], events)
+        pair = self._ranked_np[ei]
+        if pair is not None:
+            return pair
+        chain = self._ranked[ei]
+        assert chain is not None
+        k = len(chain)
+        sb = self._rank_sbufs[ei]
+        vb = self._rank_vbufs[ei]
+        if sb is None or vb is None or sb.shape[0] < k:
+            cap = max(4, k, 0 if sb is None else 2 * sb.shape[0])
+            sb = np.empty(cap, dtype=np.intp)
+            vb = np.empty(cap, dtype=np.int64)
+            self._rank_sbufs[ei] = sb
+            self._rank_vbufs[ei] = vb
+            self._rank_ptr_s[ei] = sb.ctypes.data
+            self._rank_ptr_v[ei] = vb.ctypes.data
+        sb[:k] = [v.slot for v in chain]
+        vb[:k] = [v.vid for v in chain]
+        self._rank_len[ei] = k
+        pair = (sb[:k], vb[:k])
+        self._ranked_np[ei] = pair
+        return pair
 
     def _emit_overtakes(
         self,
@@ -1746,7 +1185,6 @@ class TrafficEngine:
         """
         seg = self._state_by_index[ei][0]
         chain_after = sorted(chain_before, key=self._rank_sort_key)
-        self._ranked_cache[ei] = None
         self._ranked_np[ei] = None
         self._rank_elig[ei] = 0
         self._rank_dirty.add(ei)

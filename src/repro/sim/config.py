@@ -16,6 +16,7 @@ from ..core.patrol import PatrolPlan
 from ..core.protocol import ProtocolConfig
 from ..errors import ConfigurationError
 from ..mobility.demand import DemandConfig
+from ..mobility.kernels import available_backends
 from ..serde import kwargs_from, shallow_asdict
 from ..units import minutes_to_seconds
 
@@ -50,15 +51,14 @@ class WirelessConfig:
 class MobilityConfig:
     """Traffic engine settings.
 
-    ``vectorized`` selects the engine's batch NumPy hot path (default); the
-    scalar per-vehicle reference engine (``vectorized=False``) produces a
-    bit-for-bit identical event stream and is kept as the equivalence
-    baseline exercised by the dual-engine test matrix.  ``compiled`` opts
-    in to the compiled inner step kernel (numba when importable, else a
-    C library built with the system compiler; see
-    :mod:`repro.mobility.kernels`) — a request, not a requirement: when no
-    backend loads, the engine transparently runs the NumPy path, and every
-    backend is bit-for-bit identical to it.
+    ``vectorized`` selects the engine's fast path (default): resident
+    arrays driven by the native step kernel (:mod:`repro.mobility.kernels`,
+    built with the system C compiler), or by its NumPy fallback on a host
+    with no C compiler.  The scalar per-vehicle reference engine
+    (``vectorized=False``) produces a bit-for-bit identical event stream
+    and is kept as the equivalence baseline exercised by the dual-engine
+    test matrix.  :attr:`compiled` reports which fast path runs; it is
+    derived, not a setting.
     """
 
     dt_s: float = 0.5
@@ -66,7 +66,6 @@ class MobilityConfig:
     admissions_per_step: int = 4
     crossing_delay_s: float = 0.5
     vectorized: bool = True
-    compiled: bool = False
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
@@ -76,13 +75,21 @@ class MobilityConfig:
         if self.crossing_delay_s < 0:
             raise ConfigurationError("crossing_delay_s cannot be negative")
 
+    @property
+    def compiled(self) -> bool:
+        """Whether the engine runs the native kernel: vectorized, and the
+        kernel loads on this host (read-only; not serialized)."""
+        return self.vectorized and bool(available_backends())
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (see ``repro.serde`` for the conventions)."""
         return shallow_asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MobilityConfig":
-        """Inverse of :meth:`to_dict`; missing keys use the defaults."""
+        """Inverse of :meth:`to_dict`; missing keys use the defaults, and
+        keys that name no field (the ``compiled`` flag older specs carry)
+        are ignored."""
         return cls(**kwargs_from(cls, data))
 
 

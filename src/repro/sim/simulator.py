@@ -186,7 +186,6 @@ class Simulation:
             ),
             allow_overtaking=mobility.allow_overtaking,
             vectorized=mobility.vectorized,
-            compiled=mobility.compiled,
         )
 
         # --- demand ----------------------------------------------------------

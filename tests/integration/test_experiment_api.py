@@ -12,6 +12,8 @@ The acceptance bar for the declarative API:
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.experiments import (
     ResultStore,
     replay,
 )
+from repro.errors import ExperimentError
 from repro.mobility.demand import DemandConfig
 from repro.scenarios import get_scenario
 from repro.sim.config import MobilityConfig, ScenarioConfig
@@ -171,3 +174,41 @@ class TestSweepResume:
         again = spec.run(store=store, resume=True, observers=[StepSpy()])
         assert again == first
         assert ran == []
+
+
+class TestRetiredCompiledFlag:
+    """``MobilityConfig.compiled`` used to be a setting, so specs and store
+    manifests written before it became a derived property still carry
+    ``"mobility": {"compiled": ...}``."""
+
+    @staticmethod
+    def _make_old_store(tmp_path, spec):
+        store = tmp_path / "store"
+        result = spec.run(store=store)
+        manifest_path = ResultStore(store).manifest_path
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["config"]["mobility"]["compiled"] = True
+        canonical = json.dumps(manifest["spec"], sort_keys=True, separators=(",", ":"))
+        manifest["config_hash"] = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        return store, manifest, result
+
+    def test_old_spec_and_store_load_and_replay_bit_for_bit(self, tmp_path):
+        spec = _small_spec()
+        store, manifest, result = self._make_old_store(tmp_path, spec)
+        old_spec = tmp_path / "old-spec.json"
+        old_spec.write_text(json.dumps(manifest["spec"]))
+        assert ExperimentSpec.load(old_spec) == spec
+        assert ResultStore(store).spec() == spec
+
+        report = replay(store)
+        assert report.matches, report.describe()
+        assert report.fresh == report.stored == result
+
+    def test_resume_refuses_an_old_store(self, tmp_path):
+        """The retired key was part of the old config hash, so the hash of
+        the same experiment changed: resume asks for a fresh directory."""
+        spec = _small_spec()
+        store, _, _ = self._make_old_store(tmp_path, spec)
+        with pytest.raises(ExperimentError, match="use a fresh directory"):
+            ResultStore(store).spec().run(store=store, resume=True)

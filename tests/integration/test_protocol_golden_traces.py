@@ -5,8 +5,10 @@ against the *scalar* per-event protocol path (``batched=False``, i.e.
 ``CountingProtocol.handle_events``) before the batched pipeline refactor.
 Both pipelines must reproduce them exactly — per-checkpoint counters,
 adjustments, stabilization times (bitwise, via float hex), exchange
-statistics, collection statistics and the collected global view.  Any
-divergence fails the comparison here before it can silently move the paper's
+statistics, collection statistics and the collected global view — on every
+engine: the reference engine, the vectorized engine on its native kernel,
+and the vectorized engine forced onto its NumPy fallback.  Any divergence
+fails the comparison here before it can silently move the paper's
 correctness results.
 
 Five scenarios are pinned, covering the protocol regimes that matter:
@@ -114,14 +116,12 @@ def _registry_network(name):
     return build
 
 
-def _run(name, *, batched, vectorized=True, compiled=False):
+def _run(name, *, batched, vectorized=True):
     from repro.sim.simulator import Simulation
 
     config_factory, net_factory, duration_s = SCENARIOS[name]
     config = config_factory()
     mobility = replace(config.mobility, vectorized=vectorized)
-    if compiled:
-        mobility = replace(mobility, compiled=True)
     config = replace(config, batched=batched, mobility=mobility)
     sim = Simulation(net_factory(), config)
     sim.run_for(duration_s)
@@ -222,18 +222,39 @@ def _load_fixture() -> dict:
         return json.load(fh)
 
 
+@pytest.fixture
+def engine(request, monkeypatch):
+    """The engine under test: the vectorized engine on the native kernel,
+    the vectorized engine forced onto its NumPy fallback (the loader cache
+    monkeypatched to "unavailable", as on a host with no C compiler), or
+    the reference engine."""
+    from repro.mobility import kernels
+
+    if request.param == "vec-engine" and not kernels.available_backends():
+        pytest.skip("no C compiler here: the native kernel cannot load")
+    if request.param == "vec-numpy-engine":
+        monkeypatch.setattr(kernels, "_C_LIB", None)
+    return request.param
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("engine", ["vec-engine", "ref-engine"])
+@pytest.mark.parametrize(
+    "engine", ["vec-engine", "vec-numpy-engine", "ref-engine"], indirect=True
+)
 @pytest.mark.parametrize("pipeline", ["batched", "scalar"])
 def test_protocol_trace_matches_scalar_fixture(scenario, pipeline, engine):
-    """All four engine × protocol-pipeline combinations reproduce the trace
+    """Every engine × protocol-pipeline combination reproduces the trace
     recorded from the scalar pipeline — the full equivalence matrix."""
     recorded = _load_fixture()[scenario]
     sim = _run(
         scenario,
         batched=pipeline == "batched",
-        vectorized=engine == "vec-engine",
+        vectorized=engine != "ref-engine",
     )
+    if engine == "vec-engine":
+        assert sim.engine._kernel is not None
+    elif engine == "vec-numpy-engine":
+        assert sim.engine._kernel is None
     trace = protocol_trace(sim)
     # Compare the summary numbers first so a mismatch names itself.
     assert trace["protocol_stats"] == recorded["protocol_stats"]
@@ -242,22 +263,6 @@ def test_protocol_trace_matches_scalar_fixture(scenario, pipeline, engine):
     assert trace["global_count"] == recorded["global_count"]
     assert trace["total_adjustments"] == recorded["total_adjustments"]
     assert trace == recorded
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_compiled_kernel_matches_scalar_fixture(scenario):
-    """``compiled=True`` (when a backend loads here) must reproduce the
-    same scalar-path fixture bit for bit — the compiled kernel is a faster
-    engine, never a different one.  Skips cleanly on hosts where neither
-    numba nor a system C compiler is available; the engine then falls back
-    to the NumPy path, which the matrix above already pins."""
-    from repro.mobility.kernels import available_backends
-
-    if not available_backends():
-        pytest.skip("no compiled kernel backend available in this environment")
-    recorded = _load_fixture()[scenario]
-    sim = _run(scenario, batched=True, compiled=True)
-    assert protocol_trace(sim) == recorded
 
 
 def test_scalar_fixture_scenarios_stabilized():

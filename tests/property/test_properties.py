@@ -234,9 +234,9 @@ def test_batched_equals_scalar_on_dense_irregular_scenarios(
     """Worst-case irregular-event density: an open gated two-lane grid with
     patrol ferrying, lossy wireless and heavy through traffic fires border
     crossings, labels, reports, patrol syncs and overtakes every few steps —
-    the full batched stack (vectorized engine tails + batched pipeline, plus
-    the compiled kernel when a backend loads) must stay bit-for-bit the
-    scalar per-event reference on any such draw."""
+    the full batched stack (vectorized engine on its native kernel when it
+    loads + batched pipeline) must stay bit-for-bit the scalar per-event
+    reference on any such draw."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(
@@ -256,7 +256,7 @@ def test_batched_equals_scalar_on_dense_irregular_scenarios(
         cfg = replace(
             config,
             batched=fast,
-            mobility=replace(config.mobility, vectorized=fast, compiled=fast),
+            mobility=replace(config.mobility, vectorized=fast),
         )
         sim = Simulation(net, cfg)
         sim.run_for(300.0)

@@ -1,29 +1,28 @@
-"""Compiled step-kernel backends vs. their pure-Python oracles.
+"""The native step kernel vs. its pure-Python oracles.
 
 :mod:`repro.mobility.kernels` ships executable specifications
-(``advance_chain_py`` and friends) and up to two compiled backends (numba,
-cc).  Every backend that loads in this environment must reproduce the
-oracles *bit for bit* on randomized inputs — positions and speeds compared
-with ``array_equal`` (which distinguishes ``-0.0`` from ``0.0`` via the
-follow-up sign check), never ``allclose``.  The pointer-table sweeps
-(``gather_all`` / ``rank_scan_all`` / ``lane_options``) are C-only and are
-checked against their ctypes-dereferencing oracles; the bound calling
+(``advance_chain_py`` and friends) and one native backend, a C library
+built with the system compiler.  Every entry point must reproduce its
+oracle *bit for bit* on randomized inputs — positions and speeds compared
+with ``array_equal`` plus a sign-bit check (``array_equal`` alone does not
+distinguish ``-0.0`` from ``0.0``), never ``allclose``.  The bound calling
 convention is checked against the explicit-arg one on the same data.
 
-When no compiled backend is available the loader must return ``None`` and
-the engine must still honour ``compiled=True`` by running its NumPy path —
-the fallback tests below monkeypatch the resolution caches to simulate a
-backendless host, so CI exercises the scalar fallback even where cc exists.
+When the kernel cannot load, the loader must return ``None`` and the
+engine must run its NumPy fallback with an identical event stream — the
+fallback tests below monkeypatch the loader cache to simulate a host with
+no C compiler, so CI exercises the fallback even where cc exists.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.mobility import kernels
 from repro.mobility.kernels import (
-    StepKernel,
     advance_chain_py,
     available_backends,
     gather_all_py,
@@ -31,7 +30,6 @@ from repro.mobility.kernels import (
     lane_options_py,
     load_step_kernel,
     rank_scan_all_py,
-    rank_scan_py,
 )
 
 PARAMS = dict(
@@ -45,18 +43,12 @@ PARAMS = dict(
 )
 
 
-def _backend_fns(backend):
-    """The raw (advance, cand, rank, ...) tuple of one loaded backend."""
-    fns = kernels._load_numba() if backend == "numba" else kernels._load_cc()
-    assert fns is not None
-    return fns
-
-
-def backends():
-    avail = available_backends()
-    if not avail:
-        pytest.skip("no compiled backend available in this environment")
-    return avail
+@pytest.fixture
+def kernel():
+    k = load_step_kernel(**PARAMS)
+    if k is None:
+        pytest.skip("no C compiler here: the native kernel cannot load")
+    return k
 
 
 def _chain_inputs(rng, n):
@@ -94,104 +86,64 @@ def _advance_args():
 
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_backends_match_oracle_bitwise(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[0]
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 60))
-            idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
-            newly_a = np.zeros(n, dtype=bool)
-            moved_a = np.zeros(n, dtype=bool)
-            newly_b = np.zeros(n, dtype=bool)
-            moved_b = np.zeros(n, dtype=bool)
-            pos_a, speed_a = pos.copy(), speed.copy()
-            pos_b, speed_b = pos.copy(), speed.copy()
-            ref = advance_chain_py(
-                idx, pos_a, speed_a, freeflow, seglen,
-                heads.astype(np.uint8), waitflag.astype(np.uint8),
-                newly_a, moved_a, *_advance_args(),
-            )
-            got = fn(
-                idx, pos_b, speed_b, freeflow, seglen,
-                heads.astype(np.uint8), waitflag.astype(np.uint8),
-                newly_b, moved_b, *_advance_args(),
-            )
-            assert got == ref, backend
-            assert np.array_equal(pos_a, pos_b), backend
-            assert np.array_equal(speed_a, speed_b), backend
-            # -0.0 vs 0.0 would pass array_equal; the sign bits must agree
-            # too (the scalar engine's max(0.0, -0.0) contract).
-            assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b)), backend
-            assert np.array_equal(newly_a, newly_b), backend
-            assert np.array_equal(moved_a, moved_b), backend
+    def test_kernel_matches_oracle_bitwise(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
+        heads = heads.astype(np.uint8)
+        waitflag = waitflag.astype(np.uint8)
+        newly_a = np.zeros(n, dtype=bool)
+        moved_a = np.zeros(n, dtype=bool)
+        newly_b = np.zeros(n, dtype=bool)
+        moved_b = np.zeros(n, dtype=bool)
+        pos_a, speed_a = pos.copy(), speed.copy()
+        pos_b, speed_b = pos.copy(), speed.copy()
+        ref = advance_chain_py(
+            idx, pos_a, speed_a, freeflow, seglen, heads, waitflag,
+            newly_a, moved_a, *_advance_args(),
+        )
+        got = kernel.advance(
+            idx, pos_b, speed_b, freeflow, seglen, heads, waitflag, newly_b, moved_b
+        )
+        assert got == ref
+        assert np.array_equal(pos_a, pos_b)
+        assert np.array_equal(speed_a, speed_b)
+        # -0.0 vs 0.0 would pass array_equal; the sign bits must agree
+        # too (the scalar engine's max(0.0, -0.0) contract).
+        assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b))
+        assert np.array_equal(newly_a, newly_b)
+        assert np.array_equal(moved_a, moved_b)
 
-    def test_empty_chain(self):
-        for backend in backends():
-            fn = _backend_fns(backend)[0]
-            empty = np.empty(0, dtype=np.intp)
-            z = np.empty(0, dtype=np.uint8)
-            f = np.empty(0, dtype=np.float64)
-            assert fn(empty, f, f.copy(), f, f, z, z,
-                      np.empty(0, dtype=bool), np.empty(0, dtype=bool),
-                      *_advance_args()) == 0
+    def test_empty_chain(self, kernel):
+        empty = np.empty(0, dtype=np.intp)
+        z = np.empty(0, dtype=np.uint8)
+        f = np.empty(0, dtype=np.float64)
+        assert kernel.advance(empty, f, f.copy(), f, f, z, z,
+                              np.empty(0, dtype=bool), np.empty(0, dtype=bool)) == 0
 
 
 class TestLaneChangeCandidates:
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_backends_match_oracle(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[1]
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 50))
-            idx = rng.permutation(n).astype(np.intp)
-            pos = rng.uniform(0.0, 100.0, n)
-            speed = rng.uniform(0.0, 15.0, n)
-            desired = rng.uniform(5.0, 15.0, n)
-            multilane = (rng.random(n) < 0.7).astype(np.uint8)
-            heads = (rng.random(n) < 0.3).astype(np.uint8)
-            cand_a = np.zeros(n, dtype=bool)
-            cand_b = np.zeros(n, dtype=bool)
-            ref = lane_change_candidates_py(
-                idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
-            )
-            got = fn(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
-            assert got == ref, backend
-            assert np.array_equal(cand_a, cand_b), backend
-
-
-def _rankings(rng, n_edges, n_slots):
-    """Random packed per-edge ascending rankings (with deliberate ties)."""
-    pos = rng.uniform(0.0, 50.0, n_slots).round(1)  # rounding makes ties
-    lens = rng.integers(0, 6, n_edges).astype(np.int64)
-    total = int(lens.sum())
-    slots = rng.integers(0, n_slots, total).astype(np.int64)
-    vids = rng.integers(0, 10_000, total).astype(np.int64)
-    return pos, lens, slots, vids
-
-
-class TestRankScan:
-    @pytest.mark.parametrize("seed", [3, 9, 21])
-    def test_backends_match_oracle(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[2]
-            rng = np.random.default_rng(seed)
-            pos, lens, slots, vids = _rankings(rng, 12, 40)
-            flags_a = np.zeros(12, dtype=np.uint8)
-            flags_b = np.zeros(12, dtype=np.uint8)
-            ref = rank_scan_py(slots, vids, lens, pos, flags_a)
-            got = fn(slots, vids, lens, pos, flags_b)
-            assert got == ref, backend
-            assert np.array_equal(flags_a, flags_b), backend
+    def test_kernel_matches_oracle(self, kernel, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50))
+        idx = rng.permutation(n).astype(np.intp)
+        pos = rng.uniform(0.0, 100.0, n)
+        speed = rng.uniform(0.0, 15.0, n)
+        desired = rng.uniform(5.0, 15.0, n)
+        multilane = (rng.random(n) < 0.7).astype(np.uint8)
+        heads = (rng.random(n) < 0.3).astype(np.uint8)
+        cand_a = np.zeros(n, dtype=bool)
+        cand_b = np.zeros(n, dtype=bool)
+        ref = lane_change_candidates_py(
+            idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
+        )
+        got = kernel.candidates(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
+        assert got == ref
+        assert np.array_equal(cand_a, cand_b)
 
 
 # ------------------------------------------------------------ pointer tables
-def _cc_or_skip():
-    fns = kernels._load_cc()
-    if fns is None:
-        pytest.skip("cc backend unavailable (pointer tables are C-only)")
-    return fns
-
-
 def _edge_tables(rng, n_edges, n_slots):
     """Per-edge cached slot arrays plus their address/length tables.
 
@@ -212,8 +164,7 @@ def _edge_tables(rng, n_edges, n_slots):
 
 class TestGatherAll:
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[3]
+    def test_c_matches_oracle(self, kernel, seed):
         rng = np.random.default_rng(seed)
         n_edges = 10
         keep, ptrs, lens = _edge_tables(rng, n_edges, 30)
@@ -222,7 +173,7 @@ class TestGatherAll:
         out_a = np.zeros(cap, dtype=np.int64)
         out_b = np.zeros(cap, dtype=np.int64)
         ref = gather_all_py(occ, ptrs, lens, out_a)
-        got = fn(occ, ptrs, lens, out_b)
+        got = kernel.gather_all(occ, ptrs, lens, out_b)
         assert got == ref
         assert np.array_equal(out_a[:ref], out_b[:ref])
         # the gather is the back-to-back concatenation in occ order
@@ -233,8 +184,7 @@ class TestGatherAll:
 
 class TestRankScanAll:
     @pytest.mark.parametrize("seed", [2, 13])
-    def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[4]
+    def test_c_matches_oracle(self, kernel, seed):
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 14, 40
         pos = rng.uniform(0.0, 50.0, n_slots).round(1)
@@ -252,7 +202,7 @@ class TestRankScanAll:
         flags_a = np.zeros(n_edges, dtype=np.uint8)
         flags_b = np.zeros(n_edges, dtype=np.uint8)
         ref = rank_scan_all_py(elig, ptrs_s, ptrs_v, lens, pos, flags_a)
-        got = fn(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
+        got = kernel.rank_scan_all(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
         assert got == ref
         assert np.array_equal(flags_a, flags_b)
         # ineligible edges must never be flagged
@@ -261,8 +211,7 @@ class TestRankScanAll:
 
 class TestLaneOptions:
     @pytest.mark.parametrize("seed", [1, 8, 17])
-    def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[5]
+    def test_c_matches_oracle(self, kernel, seed):
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 6, 60
         pos = rng.uniform(0.0, 100.0, n_slots)
@@ -287,29 +236,24 @@ class TestLaneOptions:
             own = float(rng.uniform(0.0, 100.0))
             half = float(rng.uniform(1.0, 20.0))
             ref = lane_options_py(e, lane, nlanes, own, half, gptrs, bptrs, pos)
-            got = fn(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+            got = kernel.lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
             assert got == ref
             assert 0 <= got <= 3
 
-    def test_single_lane_has_no_options(self):
-        fn = _cc_or_skip()[5]
+    def test_single_lane_has_no_options(self, kernel):
         slots = np.array([0], dtype=np.int64)
         bounds = np.array([0, 1], dtype=np.int64)
         gptrs = np.array([slots.ctypes.data], dtype=np.int64)
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([5.0])
-        assert fn(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
+        assert kernel.lane_options(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
 
 
 # ------------------------------------------------------- bound convention
 class TestBoundCalls:
-    def test_bound_equals_explicit(self):
+    def test_bound_equals_explicit(self, kernel):
         """The once-bound count-only calls must equal the explicit-arg calls
         on identical data (same outputs, same in-place effects)."""
-        if not available_backends():
-            pytest.skip("no compiled backend available")
-        kernel = load_step_kernel(**PARAMS)
-        assert kernel is not None
         rng = np.random.default_rng(42)
         n = 40
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
@@ -317,24 +261,39 @@ class TestBoundCalls:
         waitflag = waitflag.astype(np.uint8)
         desired = rng.uniform(5.0, 15.0, n)
         multilane = (rng.random(n) < 0.7).astype(np.uint8)
+        # One two-lane edge whose cached gather is ``idx``.
+        gather_ptr = np.array([idx.ctypes.data], dtype=np.int64)
+        gather_len = np.array([n], dtype=np.int64)
+        bounds = np.array([0, n // 2, n], dtype=np.int64)
+        bounds_ptr = np.array([bounds.ctypes.data], dtype=np.int64)
         idx_buf = np.zeros(n, dtype=np.intp)
-        idx_buf[:] = idx
         newly_buf = np.zeros(n, dtype=bool)
         moved_buf = np.zeros(n, dtype=bool)
         cand_buf = np.zeros(n, dtype=bool)
-        rank_buf = np.zeros(n, dtype=np.int64)
-        vid_buf = np.zeros(n, dtype=np.int64)
-        lens_buf = np.zeros(4, dtype=np.int64)
-        flags_buf = np.zeros(4, dtype=np.uint8)
+        flags_buf = np.ones(1, dtype=np.uint8)
+        zero = np.zeros(1, dtype=np.int64)
         pos_bound = pos.copy()
         speed_bound = speed.copy()
         kernel.bind(
             idx_buf, pos_bound, speed_bound, freeflow, seglen, heads, waitflag,
             newly_buf, moved_buf, desired, multilane, cand_buf, 12.0, 1.0,
-            rank_buf, vid_buf, lens_buf, flags_buf,
+            flags_buf=flags_buf, occ_buf=zero, gather_ptr=gather_ptr,
+            gather_len=gather_len, rank_elig=np.zeros(1, dtype=np.uint8),
+            rank_ptr_s=zero, rank_ptr_v=zero, rank_len=zero,
+            bounds_ptr=bounds_ptr, gap_half_m=4.0,
         )
+        assert kernel.gather_bound(1) == n
+        assert np.array_equal(idx_buf, idx)
+        for lane in (0, 1):
+            for own in rng.uniform(0.0, 120.0, 5).tolist():
+                assert kernel.lane_opts_bound(0, lane, 2, own) == kernel.lane_options(
+                    0, lane, 2, own, 4.0, gather_ptr, bounds_ptr, pos_bound
+                )
+        # An all-ineligible ranking table flags nothing (and clears flags).
+        assert kernel.rank_all_bound() == 0
+        assert not flags_buf.any()
         n_cand_bound = kernel.candidates_bound(n)
-        cand_from_bound = cand_buf[:n].copy()
+        cand_from_bound = cand_buf.copy()
         n_newly_bound = kernel.advance_bound(n)
 
         pos_exp = pos.copy()
@@ -353,14 +312,10 @@ class TestBoundCalls:
         assert np.array_equal(cand_from_bound, cand_exp)
         assert np.array_equal(pos_bound, pos_exp)
         assert np.array_equal(speed_bound, speed_exp)
-        assert np.array_equal(newly_buf[:n], newly_exp)
+        assert np.array_equal(newly_buf, newly_exp)
+        assert np.array_equal(moved_buf, moved_exp)
 
-    def test_tables_bound_gather_matches_oracle(self):
-        fns = _cc_or_skip()
-        kernel = load_step_kernel(**PARAMS)
-        assert kernel is not None
-        if not kernel.has_tables:
-            pytest.skip("preferred backend has no pointer tables (numba)")
+    def test_bound_gather_matches_oracle(self, kernel):
         rng = np.random.default_rng(7)
         n_edges, n_slots = 8, 30
         keep, ptrs, lens = _edge_tables(rng, n_edges, n_slots)
@@ -368,56 +323,70 @@ class TestBoundCalls:
         cap = int(lens.sum()) + 1
         idx_buf = np.zeros(cap, dtype=np.intp)
         pos = rng.uniform(0.0, 50.0, n_slots)
-        elig = np.zeros(n_edges, dtype=np.uint8)
-        rank_ptr_s = ptrs.copy()
-        rank_ptr_v = ptrs.copy()
-        rank_len = np.zeros(n_edges, dtype=np.int64)
-        zeros = np.zeros(cap, dtype=np.float64)
+        zf = np.zeros(cap, dtype=np.float64)
         zb = np.zeros(cap, dtype=bool)
         zu = np.zeros(cap, dtype=np.uint8)
-        flags_buf = np.zeros(n_edges, dtype=np.uint8)
+        zi = np.zeros(n_edges, dtype=np.int64)
         kernel.bind(
-            idx_buf, pos, zeros.copy(), zeros, zeros, zu, zu, zb.copy(), zb.copy(),
-            zeros, zu, zb.copy(), 12.0, 1.0,
-            np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.int64),
-            np.zeros(n_edges, dtype=np.int64), flags_buf,
-            occ_buf=occ_buf, gather_ptr=ptrs, gather_len=lens,
-            rank_elig=elig, rank_ptr_s=rank_ptr_s, rank_ptr_v=rank_ptr_v,
-            rank_len=rank_len,
+            idx_buf, pos, zf.copy(), zf, zf, zu, zu, zb.copy(), zb.copy(),
+            zf, zu, zb.copy(), 12.0, 1.0,
+            flags_buf=np.zeros(n_edges, dtype=np.uint8), occ_buf=occ_buf,
+            gather_ptr=ptrs, gather_len=lens, rank_elig=np.zeros(n_edges, dtype=np.uint8),
+            rank_ptr_s=zi, rank_ptr_v=zi, rank_len=zi, bounds_ptr=zi, gap_half_m=4.0,
         )
-        assert kernel.tables_bound
         m = 5
         out_ref = np.zeros(cap, dtype=np.int64)
         ref = gather_all_py(occ_buf[:m], ptrs, lens, out_ref)
         got = kernel.gather_bound(m)
         assert got == ref
         assert np.array_equal(idx_buf[:got].astype(np.int64), out_ref[:ref])
-        # rank_all over all-ineligible edges flags nothing
-        assert kernel.rank_all_bound() == 0
-        assert not flags_buf.any()
 
 
-# ------------------------------------------------------------ fallback
-class TestFallback:
-    def test_loader_returns_none_without_backends(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_FNS", None)
-        monkeypatch.setattr(kernels, "_C_FNS", None)
+# ------------------------------------------------------------ loading
+class TestLoader:
+    def test_loader_returns_none_without_a_compiler(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_C_LIB", False)
+        monkeypatch.setattr(kernels.shutil, "which", lambda name: None)
         assert available_backends() == []
         assert load_step_kernel(**PARAMS) is None
 
-    def test_engine_compiled_request_falls_back_transparently(self, monkeypatch):
-        """``compiled=True`` on a backendless host must run the NumPy path
-        and still produce the identical event stream."""
+    def test_concurrent_first_loads_all_get_the_kernel(self, kernel, monkeypatch):
+        """Two threads loading for the first time at once must both get
+        the native kernel: the second waits for the first one's build
+        instead of seeing the load in progress as "unavailable"."""
+        monkeypatch.setattr(kernels, "_C_LIB", False)
+        monkeypatch.setattr(kernels, "_TMPDIR", None)
+        barrier = threading.Barrier(2)
+        got = {}
+
+        def load(i):
+            barrier.wait(timeout=60)
+            got[i] = load_step_kernel(**PARAMS)
+
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=180)
+            assert not t.is_alive()
+        assert sorted(got) == [0, 1]
+        assert all(k is not None for k in got.values()), got
+        assert available_backends() == ["cc"]
+
+    def test_engine_falls_back_transparently(self, kernel, monkeypatch):
+        """With the kernel unavailable the vectorized engine must run its
+        NumPy fallback and still produce the identical event stream."""
         from repro.mobility.demand import DemandConfig, DemandModel
         from repro.mobility.engine import TrafficEngine
         from repro.roadnet.builders import grid_network
 
-        def run(compiled):
-            if compiled:
-                monkeypatch.setattr(kernels, "_NUMBA_FNS", None)
-                monkeypatch.setattr(kernels, "_C_FNS", None)
-            net = grid_network(3, 3, lanes=2)
-            eng = TrafficEngine(net, np.random.default_rng(3), compiled=compiled)
+        def run(fallback):
+            with monkeypatch.context() as m:
+                if fallback:
+                    m.setattr(kernels, "_C_LIB", None)
+                net = grid_network(3, 3, lanes=2)
+                eng = TrafficEngine(net, np.random.default_rng(3))
+            assert (eng._kernel is None) == fallback
             dm = DemandModel(net, DemandConfig(volume_fraction=0.7),
                              np.random.default_rng(4))
             eng.spawn_initial(dm.initial_fleet())
@@ -433,10 +402,22 @@ class TestFallback:
         assert run(True) == run(False)
 
     def test_available_backends_reports_this_environment(self):
-        # Informational but load-bearing: on any host with a system C
-        # compiler the cc rung must actually build and load.
+        # Load-bearing: on any host with a system C compiler the native
+        # kernel must actually build and load.
         import shutil
 
-        avail = available_backends()
         if shutil.which("cc") or shutil.which("gcc"):
-            assert "cc" in avail
+            assert available_backends() == ["cc"]
+
+    def test_compiled_is_derived_not_settable(self):
+        from repro.mobility.engine import TrafficEngine
+        from repro.roadnet.builders import grid_network
+        from repro.sim.config import MobilityConfig
+
+        with pytest.raises(TypeError):
+            MobilityConfig(compiled=True)
+        with pytest.raises(TypeError):
+            TrafficEngine(grid_network(2, 2), np.random.default_rng(0), compiled=True)
+        assert "compiled" not in MobilityConfig().to_dict()
+        assert MobilityConfig().compiled == bool(available_backends())
+        assert MobilityConfig(vectorized=False).compiled is False
