@@ -10,7 +10,11 @@ the result is bit-for-bit identical to the scalar engine (the golden-trace
 suites pin this).  Further entry points evaluate the lane-change candidate
 predicate (the ``LaneChangeModel.wants_to_change`` scan), the per-edge
 gather, the both-neighbour lane-change viability test and the overtake
-ranking scan over the engine's per-edge pointer tables.
+ranking scan over the engine's per-edge pointer tables.  One more entry
+point serves routing rather than the step: ``bidir_dijkstra``, the
+bidirectional shortest-path search a frozen road network runs on a
+route-cache miss (:class:`RouteKernel`, over a CSR form of the network's
+travel-time adjacency).
 
 The engine has one reference path and one fast path.  ``vectorized=False``
 is the reference; ``vectorized=True`` loads this kernel.  The kernel is a
@@ -43,7 +47,12 @@ The kernel must reproduce :meth:`SimplifiedIDM.advance` /
 :func:`gather_all_py`, :func:`lane_options_py` and
 :func:`rank_scan_all_py` are the executable specifications: plain Python
 (plus ctypes dereferencing for the pointer-table sweeps), usable as
-property-test oracles against the C entry points.
+property-test oracles against the C entry points.  The route search's
+oracle is :func:`repro.roadnet.routing._bidirectional_dijkstra`, which it
+matches node for node — same alternation, relaxation order and strict
+tests, and a heap keyed on the same unique ``(dist, insertion counter)``
+pairs, so it pops in ``heapq``'s order; that Python search is also the
+only fallback (no compiler, or an unfrozen network).
 
 Calling conventions
 -------------------
@@ -66,7 +75,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +87,8 @@ __all__ = [
     "lane_options_py",
     "available_backends",
     "load_step_kernel",
+    "load_route_kernel",
+    "RouteKernel",
     "StepKernel",
 ]
 
@@ -482,6 +493,132 @@ int64_t rank_scan_all(
     }
     return n_flagged;
 }
+
+/* Bidirectional Dijkstra over a CSR adjacency: the C port of
+ * repro.roadnet.routing._bidirectional_dijkstra (itself a port of
+ * networkx.bidirectional_dijkstra).  Same alternation between the forward
+ * (d = 0, successors) and backward (d = 1, predecessors) searches, same
+ * relaxation order (CSR rows keep each node's neighbour order), same strict
+ * tests, and a binary heap keyed on (dist, insertion counter): the counter
+ * is unique and shared by both directions, so the pop sequence is
+ * heapq's.  Section d of ``off`` (n + 1 offsets), ``adj`` / ``wt`` (m
+ * entries), ``seen`` / ``flags`` / ``preds`` (n entries) and ``heap``
+ * (m + 1 entries: at most one push per relaxed edge, plus the seed) belongs
+ * to direction d.  Writes the node-index path into ``path`` (room for 2n)
+ * and returns its length, or -1 when no path exists. */
+
+typedef struct { double d; int64_t c; int64_t v; } HeapEntry;
+
+#define SEEN 1
+#define FINAL 2
+
+static int heap_less(const HeapEntry *a, const HeapEntry *b)
+{
+    return a->d < b->d || (a->d == b->d && a->c < b->c);
+}
+
+static void heap_push(HeapEntry *h, int64_t *len, HeapEntry e)
+{
+    int64_t i = (*len)++;
+    while (i > 0) {
+        int64_t parent = (i - 1) >> 1;
+        if (!heap_less(&e, &h[parent])) break;
+        h[i] = h[parent];
+        i = parent;
+    }
+    h[i] = e;
+}
+
+static HeapEntry heap_pop(HeapEntry *h, int64_t *len)
+{
+    HeapEntry top = h[0];
+    int64_t n = --(*len);
+    if (n > 0) {
+        HeapEntry last = h[n];
+        int64_t i = 0;
+        for (;;) {
+            int64_t child = 2 * i + 1;
+            if (child >= n) break;
+            if (child + 1 < n && heap_less(&h[child + 1], &h[child])) child++;
+            if (!heap_less(&h[child], &last)) break;
+            h[i] = h[child];
+            i = child;
+        }
+        h[i] = last;
+    }
+    return top;
+}
+
+int64_t bidir_dijkstra(
+    int64_t n, int64_t m, int64_t source, int64_t target,
+    const int64_t *off, const int64_t *adj, const double *wt,
+    double *seen, unsigned char *flags, int64_t *preds, HeapEntry *heap,
+    int64_t *path)
+{
+    if (source == target) {
+        path[0] = source;
+        return 1;
+    }
+    for (int64_t i = 0; i < 2 * n; i++) flags[i] = 0;
+    int64_t hlen[2] = {0, 0};
+    int64_t counter = 0;
+    int64_t ends[2] = {source, target};
+    for (int d = 0; d < 2; d++) {
+        int64_t v = ends[d];
+        flags[d * n + v] = SEEN;
+        seen[d * n + v] = 0.0;
+        preds[d * n + v] = -1;
+        HeapEntry e = {0.0, counter++, v};
+        heap_push(heap + d * (m + 1), &hlen[d], e);
+    }
+    int has_final = 0;
+    double finaldist = 0.0;
+    int64_t meet = -1;
+    int d = 1;
+    while (hlen[0] && hlen[1]) {
+        d = 1 - d;
+        int o = 1 - d;
+        HeapEntry top = heap_pop(heap + d * (m + 1), &hlen[d]);
+        int64_t v = top.v;
+        double dist = top.d;
+        if (flags[d * n + v] & FINAL) continue;
+        flags[d * n + v] |= FINAL;
+        if (flags[o * n + v] & FINAL) {
+            /* meet is always set here: v is SEEN in both directions, and
+             * the later of those two marks was a relaxation that found v
+             * in the other direction's seen set. */
+            int64_t k = 0;
+            for (int64_t x = meet; x != -1; x = preds[x]) path[k++] = x;
+            for (int64_t a = 0, b = k - 1; a < b; a++, b--) {
+                int64_t t = path[a]; path[a] = path[b]; path[b] = t;
+            }
+            for (int64_t x = preds[n + meet]; x != -1; x = preds[n + x]) path[k++] = x;
+            return k;
+        }
+        const int64_t *row = off + d * (n + 1);
+        for (int64_t j = row[v]; j < row[v + 1]; j++) {
+            int64_t w = adj[d * m + j];
+            double vw_length = dist + wt[d * m + j];
+            if (flags[d * n + w] & FINAL) continue;
+            if (!(flags[d * n + w] & SEEN) || vw_length < seen[d * n + w]) {
+                flags[d * n + w] |= SEEN;
+                seen[d * n + w] = vw_length;
+                HeapEntry e = {vw_length, counter++, w};
+                heap_push(heap + d * (m + 1), &hlen[d], e);
+                preds[d * n + w] = v;
+                if (flags[o * n + w] & SEEN) {
+                    double total = vw_length + seen[o * n + w];
+                    if (!has_final || finaldist > total) {
+                        has_final = 1;
+                        finaldist = total;
+                        meet = w;
+                    }
+                }
+            }
+        }
+    }
+    return -1;
+}
 """
 
 
@@ -497,6 +634,7 @@ _SIGNATURES = {
     "gather_all": [_VP, _I64, _VP, _VP, _VP],
     "lane_options": [_I64, _I64, _I64, _F64, _F64, _VP, _VP, _VP],
     "rank_scan_all": [_VP, _I64, _VP, _VP, _VP, _VP, _VP],
+    "bidir_dijkstra": [_I64, _I64, _I64, _I64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _VP],
 }
 
 
@@ -721,6 +859,77 @@ class StepKernel:
         self.gather_bound = gather_bound
         self.rank_all_bound = rank_all_bound
         self.lane_opts_bound = lane_opts_bound
+
+
+class RouteKernel:
+    """Native bidirectional Dijkstra over one frozen network's adjacency.
+
+    Holds the CSR form of a ``(successors, predecessors)`` adjacency pair
+    (:meth:`repro.roadnet.graph.RoadNetwork.travel_time_adjacency`): node
+    indices in the adjacency's key order, each node's row in its exact
+    neighbour order, which keeps the heap tie-breaks — and so the returned
+    paths — those of :func:`repro.roadnet.routing._bidirectional_dijkstra`,
+    the Python oracle.  The search scratch is allocated once and reused:
+    calls hold the GIL (``PyDLL``), so no two threads are ever inside the
+    search at once, while every call gets its own path buffer, so a result
+    is never read from shared memory after the foreign call returns.
+    """
+
+    def __init__(self, lib: Any, succ: Dict[Any, Any], pred: Dict[Any, Any]) -> None:
+        nodes = tuple(succ)
+        index = {v: i for i, v in enumerate(nodes)}
+        n = len(nodes)
+        off = np.zeros(2 * (n + 1), dtype=np.int64)
+        adj: List[int] = []
+        wt: List[float] = []
+        for d, table in enumerate((succ, pred)):
+            base = len(adj)
+            for i, v in enumerate(nodes):
+                for w, cost in table[v]:
+                    adj.append(index[w])
+                    wt.append(cost)
+                off[d * (n + 1) + i + 1] = len(adj) - base
+        m = len(adj) // 2
+        self._nodes = nodes
+        self._index = index
+        self._n = n
+        # Kept alive here: the foreign call only sees their addresses.
+        self._arrays = (
+            off,
+            np.asarray(adj, dtype=np.int64),
+            np.asarray(wt, dtype=np.float64),
+            np.empty(2 * n, dtype=np.float64),  # seen distances
+            np.zeros(2 * n, dtype=np.uint8),  # SEEN / FINAL flags
+            np.empty(2 * n, dtype=np.int64),  # predecessors
+            np.empty(2 * (m + 1) * 3, dtype=np.float64),  # heap: (d, c, v)
+        )
+        sym = lib.bidir_dijkstra
+        n_c, m_c = ctypes.c_int64(n), ctypes.c_int64(m)
+        rest = tuple(_ptr(a) for a in self._arrays)
+
+        def search(source: int, target: int, path: int) -> int:
+            return int(sym(n_c, m_c, source, target, *rest, path))
+
+        self._search = search
+
+    def route(self, source: object, target: object) -> Optional[List[object]]:
+        """The node path from ``source`` to ``target``, or ``None`` when
+        there is none.  Both must be nodes of the adjacency."""
+        path = np.empty(2 * self._n, dtype=np.int64)
+        k = self._search(self._index[source], self._index[target], path.ctypes.data)
+        if k < 0:
+            return None
+        nodes = self._nodes
+        return [nodes[i] for i in path[:k].tolist()]
+
+
+def load_route_kernel(succ: Dict[Any, Any], pred: Dict[Any, Any]) -> Optional[RouteKernel]:
+    """A :class:`RouteKernel` over this adjacency pair, or ``None`` when the
+    C kernel cannot be built here (routing then stays in Python)."""
+    lib = _load_cc()
+    if lib is None:
+        return None
+    return RouteKernel(lib, succ, pred)
 
 
 # The loaded library, cached per process: ``False`` = not tried yet,

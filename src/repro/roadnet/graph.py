@@ -21,13 +21,19 @@ checkpoints know which of their flows are interactions.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 
 from ..errors import RoadNetworkError
 from ..units import SPEED_LIMIT_15_MPH
+
+if TYPE_CHECKING:
+    from ..mobility.kernels import RouteKernel
 
 __all__ = [
     "NodeId",
@@ -137,8 +143,11 @@ class RoadNetwork:
         self._frozen = False
         self._nx_cache: Optional[nx.DiGraph] = None
         self._adjacency_cache: Optional[Tuple[dict, dict]] = None
+        # ``False`` = not built yet; ``None`` = no native kernel here.
+        self._route_kernel: Any = False
+        self._node_tuple: Optional[Tuple[object, ...]] = None
         self._revision = 0
-        self._route_cache: Dict[Tuple[object, object], Tuple[object, ...]] = {}
+        self._route_cache: "OrderedDict[Tuple[object, object], Tuple[object, ...]]" = OrderedDict()
         self._route_cache_rev = 0
         #: Maximum resident route-cache entries (``None`` = unbounded).
         #: Insertion beyond the limit evicts oldest-first (see
@@ -268,16 +277,17 @@ class RoadNetwork:
         """
         return self._revision
 
-    def route_cache(self) -> Dict[Tuple[object, object], Tuple[object, ...]]:
+    def route_cache(self) -> "OrderedDict[Tuple[object, object], Tuple[object, ...]]":
         """The ``(origin, destination) -> node-path`` memo for this network.
 
         Cleared automatically whenever :attr:`revision` has moved since the
         cache was last touched; callers (see
         :func:`repro.roadnet.routing.shortest_path`) treat the stored tuples
-        as immutable.
+        as immutable.  An :class:`~collections.OrderedDict` in insertion
+        order, so evicting the oldest entry is O(1).
         """
         if self._route_cache_rev != self._revision:
-            self._route_cache = {}
+            self._route_cache = OrderedDict()
             self._route_cache_rev = self._revision
         return self._route_cache
 
@@ -285,6 +295,20 @@ class RoadNetwork:
     def nodes(self) -> List[object]:
         """All intersections (stable insertion order)."""
         return list(self._out.keys())
+
+    @property
+    def node_tuple(self) -> Tuple[object, ...]:
+        """All intersections as a tuple, in :attr:`nodes` order.
+
+        Shared by every caller once the network is frozen, so per-vehicle
+        routers index one tuple instead of copying the node list each.
+        """
+        if self._node_tuple is not None:
+            return self._node_tuple
+        nodes = tuple(self._out)
+        if self._frozen:
+            self._node_tuple = nodes
+        return nodes
 
     @property
     def num_nodes(self) -> int:
@@ -443,6 +467,23 @@ class RoadNetwork:
             self._adjacency_cache = (succ, pred)
         return succ, pred
 
+    def route_kernel(self) -> Optional["RouteKernel"]:
+        """The native shortest-path search over this network, if any.
+
+        Built on first use from the CSR form of
+        :meth:`travel_time_adjacency` and cached; ``None`` for an unfrozen
+        network, or when the C kernel cannot be built here — routing then
+        runs the Python search, which returns the same paths.
+        """
+        if not self._frozen:
+            return None
+        if self._route_kernel is False:
+            from ..mobility.kernels import load_route_kernel
+
+            self._route_kernel = load_route_kernel(*self.travel_time_adjacency())
+        kernel: Optional["RouteKernel"] = self._route_kernel
+        return kernel
+
     # ------------------------------------------------------------ transforms
     def closed_copy(self, name: Optional[str] = None) -> "RoadNetwork":
         """A copy of this network with all gates removed (closed system).
@@ -479,6 +520,13 @@ class RoadNetwork:
         return net
 
     # ---------------------------------------------------------------- dunder
+    def __getstate__(self) -> Dict[str, Any]:
+        # The native route kernel holds process-local foreign pointers; a
+        # copy rebuilds it on first use.
+        state = dict(self.__dict__)
+        state["_route_kernel"] = False
+        return state
+
     def __contains__(self, node: object) -> bool:
         return node in self._out
 

@@ -61,12 +61,12 @@ def shortest_path(net: RoadNetwork, origin: object, destination: object) -> List
         return list(hit)
     path = shortest_path_uncached(net, origin, destination)
     limit = net.route_cache_limit
-    if limit is not None and len(cache) >= limit:
-        # Evict oldest-inserted entries (dict preserves insertion order).
-        # Purely a memory bound: a cached path and a recomputed path are
-        # identical, so eviction never changes routing results.
+    if limit is not None:
+        # Evict oldest-inserted entries, O(1) each.  Purely a memory bound:
+        # a cached path and a recomputed path are identical, so eviction
+        # never changes routing results.
         while len(cache) >= limit:
-            del cache[next(iter(cache))]
+            cache.popitem(last=False)
     cache[key] = tuple(path)
     return path
 
@@ -76,13 +76,20 @@ def shortest_path_uncached(
 ) -> List[object]:
     """Compute the shortest path without touching the route cache.
 
-    The reference the cache equivalence tests compare against.  Raises
+    The reference the cache equivalence tests compare against.  A frozen
+    network searches natively (:meth:`RoadNetwork.route_kernel`); an
+    unfrozen one, or a host with no C compiler, runs
+    :func:`_bidirectional_dijkstra` — the same path either way.  Raises
     :class:`~repro.errors.RoutingError` when no path exists.
     """
     succ, pred = net.travel_time_adjacency()
     if origin not in succ or destination not in succ:
         raise RoutingError(f"no route from {origin!r} to {destination!r}")
-    path = _bidirectional_dijkstra(succ, pred, origin, destination)
+    kernel = net.route_kernel()
+    if kernel is not None:
+        path = kernel.route(origin, destination)
+    else:
+        path = _bidirectional_dijkstra(succ, pred, origin, destination)
     if path is None:
         raise RoutingError(f"no route from {origin!r} to {destination!r}")
     return path
@@ -278,7 +285,7 @@ class RandomWaypointRouter(Router):
 
     def __init__(self, net: RoadNetwork, rng: np.random.Generator) -> None:
         super().__init__(net, rng)
-        self._nodes = list(net.nodes)
+        self._nodes = net.node_tuple
 
     def plan_from(self, node: object) -> RoutePlan:
         for _ in range(16):

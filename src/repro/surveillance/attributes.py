@@ -108,17 +108,25 @@ class ExteriorSignature:
 WHITE_VAN = ExteriorSignature(color="white", body_type="van")
 
 
-def _weighted_choice(rng: np.random.Generator, table: Sequence[Tuple[str, float]]) -> str:
-    names = [n for n, _ in table]
+def _choice_table(table: Sequence[Tuple[str, float]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(names, p)`` for :meth:`numpy.random.Generator.choice`: the names
+    array and the normalised weights, computed once per table."""
+    names = np.asarray([n for n, _ in table])
     weights = np.asarray([w for _, w in table], dtype=float)
-    weights = weights / weights.sum()
-    return str(rng.choice(names, p=weights))
+    return names, weights / weights.sum()
+
+
+_COLOR_CHOICE = _choice_table(COLORS)
+_BODY_TYPE_CHOICE = _choice_table(BODY_TYPES)
+_MAKE_NAMES = np.asarray(MAKES)
 
 
 def random_signature(rng: np.random.Generator) -> ExteriorSignature:
     """Draw a concrete vehicle signature from the population distributions."""
+    colors, color_p = _COLOR_CHOICE
+    bodies, body_p = _BODY_TYPE_CHOICE
     return ExteriorSignature(
-        color=_weighted_choice(rng, COLORS),
-        make=str(rng.choice(MAKES)),
-        body_type=_weighted_choice(rng, BODY_TYPES),
+        color=str(rng.choice(colors, p=color_p)),
+        make=str(rng.choice(_MAKE_NAMES)),
+        body_type=str(rng.choice(bodies, p=body_p)),
     )

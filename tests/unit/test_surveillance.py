@@ -5,6 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.surveillance.attributes import (
+    BODY_TYPES,
+    COLORS,
+    MAKES,
     WHITE_VAN,
     ExteriorSignature,
     random_signature,
@@ -38,6 +41,25 @@ class TestSignatures:
         sigs = [random_signature(rng) for _ in range(3000)]
         white = sum(1 for s in sigs if s.color == "white")
         assert 0.15 < white / len(sigs) < 0.35  # ~24% nominal
+
+    def test_random_signature_matches_inline_formula(self):
+        """The precomputed choice tables draw exactly what normalising the
+        weights on every call did: same signatures, same RNG stream."""
+
+        def weighted(rng, table):
+            names = [n for n, _ in table]
+            weights = np.asarray([w for _, w in table], dtype=float)
+            return str(rng.choice(names, p=weights / weights.sum()))
+
+        fast, inline = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(1000):
+            want = ExteriorSignature(
+                color=weighted(inline, COLORS),
+                make=str(inline.choice(MAKES)),
+                body_type=weighted(inline, BODY_TYPES),
+            )
+            assert random_signature(fast) == want
+        assert fast.random() == inline.random()
 
 
 class TestRecognizer:
