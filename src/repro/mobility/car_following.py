@@ -22,7 +22,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,131 +97,6 @@ class SimplifiedIDM:
         vehicle.speed_mps = max(0.0, v)
         vehicle.pos_m = new_pos
 
-    # ------------------------------------------------------- batch kernels
-    # Structure-of-arrays counterparts of :meth:`target_speed` /
-    # :meth:`advance` used by the vectorized engine.  A follower's update
-    # reads its leader's *post-step* state (lanes advance front to back), so
-    # the step cannot be a single elementwise pass.  Instead the batch path
-    # resolves two provable cases vectorized and leaves the rest to
-    # :meth:`follow_scalar`:
-    #
-    # * a follower is *surely unconstrained* when even against the most
-    #   pessimistic leader outcome (leader keeps its pre-step position and
-    #   ends stopped) the gap logic would not bind — then its update equals
-    #   the free-flow candidate;
-    # * a follower is *surely stopped* when even against the most optimistic
-    #   leader outcome (leader realizes its own free-flow candidate) the gap
-    #   stays at or below the minimum — then it holds position at speed 0,
-    #   exactly what the scalar code produces for ``gap <= MIN_GAP_M``.
-    #
-    # Positions never decrease and every bound is evaluated with monotone
-    # float operations, so both gates are sound bit for bit; the golden-trace
-    # tests pin the equivalence with the per-vehicle reference engine.
-
-    def batch_free_speed(
-        self, speed: np.ndarray, free: np.ndarray, dt: float
-    ) -> np.ndarray:
-        """Vectorized accelerate/decelerate toward the free speed.
-
-        ``clip(free, speed - decel*dt, speed + accel*dt)`` is bitwise
-        equivalent to the scalar two-branch form: when ``speed < free`` the
-        upper bound binds exactly like ``min(free, speed + accel*dt)`` (the
-        lower bound is below ``speed`` and cannot), and symmetrically for
-        deceleration.
-        """
-        return np.clip(
-            free,
-            speed - self.max_decel_mps2 * dt,
-            speed + self.max_accel_mps2 * dt,
-        )
-
-    def batch_classify(
-        self,
-        pos: np.ndarray,
-        vfree: np.ndarray,
-        cand_raw: np.ndarray,
-        leader_pos_lb: np.ndarray,
-        leader_pos_ub: np.ndarray,
-        dt: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Classify followers into the two vectorizable cases.
-
-        ``leader_pos_lb`` / ``leader_pos_ub`` bound the leader's post-step
-        position from below (its pre-step position) and above (its free-flow
-        candidate).  All inputs are follower-aligned (the caller passes
-        shifted views).  Returns boolean masks ``(unconstrained, stopped)``.
-        """
-        gap_lb = leader_pos_lb - pos - VEHICLE_LENGTH_M
-        safe_lb = (gap_lb - MIN_GAP_M) / max(dt + self.headway_s * 0.25, 1e-9)
-        ceiling_lb = leader_pos_lb - VEHICLE_LENGTH_M - MIN_GAP_M * 0.5
-        unconstrained = (
-            (gap_lb > MIN_GAP_M) & (vfree <= safe_lb) & (cand_raw <= ceiling_lb)
-        )
-        gap_ub = leader_pos_ub - pos - VEHICLE_LENGTH_M
-        stopped = gap_ub <= MIN_GAP_M
-        return unconstrained, stopped
-
-    def batch_follow(
-        self,
-        pos: np.ndarray,
-        vfree: np.ndarray,
-        leader_pos: np.ndarray,
-        leader_speed: np.ndarray,
-        segment_length: np.ndarray,
-        dt: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized follower update against *exact* post-step leader state.
-
-        Used for the second resolution round: followers whose leader was
-        resolved in the first vectorized pass see its final kinematics, so
-        their update is computable exactly — each expression mirrors
-        :meth:`follow_scalar` operation for operation.
-        """
-        gap = leader_pos - pos - VEHICLE_LENGTH_M
-        usable = gap - MIN_GAP_M + leader_speed * dt
-        safe = usable / max(dt + self.headway_s * 0.25, 1e-9)
-        v = np.maximum(0.0, np.minimum(vfree, safe))
-        v = np.where(gap <= MIN_GAP_M, 0.0, v)
-        new_pos = pos + v * dt
-        ceiling = leader_pos - VEHICLE_LENGTH_M - MIN_GAP_M * 0.5
-        clamped = new_pos > ceiling
-        clamped_pos = np.maximum(pos, ceiling)
-        new_pos = np.where(clamped, clamped_pos, new_pos)
-        v = np.where(clamped, (clamped_pos - pos) / dt, v)
-        new_pos = np.where(new_pos > segment_length, segment_length, new_pos)
-        return new_pos, np.maximum(0.0, v)
-
-    def follow_scalar(
-        self,
-        pos: float,
-        vfree: float,
-        leader_pos: float,
-        leader_speed: float,
-        segment_length: float,
-        dt: float,
-    ) -> Tuple[float, float]:
-        """Scalar follower update against the leader's post-step state.
-
-        Mirrors :meth:`target_speed` + :meth:`advance` operation for
-        operation for a vehicle whose free-flow speed ``vfree`` is already
-        known; used for the followers neither batch gate could resolve.
-        """
-        gap = leader_pos - pos - VEHICLE_LENGTH_M
-        if gap <= MIN_GAP_M:
-            v = 0.0
-        else:
-            usable = gap - MIN_GAP_M + leader_speed * dt
-            safe = usable / max(dt + self.headway_s * 0.25, 1e-9)
-            v = max(0.0, min(vfree, safe))
-        new_pos = pos + v * dt
-        ceiling = leader_pos - VEHICLE_LENGTH_M - MIN_GAP_M * 0.5
-        if new_pos > ceiling:
-            new_pos = max(pos, ceiling)
-            v = (new_pos - pos) / dt if dt > 0 else 0.0
-        if new_pos > segment_length:
-            new_pos = segment_length
-        return new_pos, max(0.0, v)
-
 
 @dataclass
 class LaneChangeModel:
@@ -243,9 +118,10 @@ class LaneChangeModel:
     def wants_to_change(self, vehicle: Vehicle, leader: Optional[Vehicle]) -> bool:
         """Whether the vehicle is blocked enough to look for another lane.
 
-        The vectorized engine evaluates this predicate in one NumPy shot
-        over its gathered columns (``TrafficEngine._lane_change_batch``);
-        any change here must be mirrored there — the engine-mode agreement
+        The vectorized engine evaluates this predicate over its gathered
+        columns in the native kernel (``lane_change_candidates``, specified
+        by :func:`~repro.mobility.kernels.lane_change_candidates_py`); any
+        change here must be mirrored there — the engine-mode agreement
         tests fail on divergence.
         """
         if leader is None:

@@ -23,22 +23,16 @@ The default engine keeps a **resident** structure-of-arrays: every vehicle
 owns a slot in persistent capacity-doubling NumPy arrays (position, speed,
 free speed, segment length, desired speed, lane-head and multilane flags)
 that spawns, exits and lane changes update incrementally — a step gathers
-stable array views through cached per-edge slot-index lists and scatters
-back with one bulk write, with no per-step ``np.fromiter``/attribute
-packing.  The ``Vehicle`` objects' kinematic fields become lazily synced
-mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
-vehicles`).  Because each lane advances front to back against its leader's
-post-step state, the update is not a single elementwise pass.  The native
-step kernel (:mod:`repro.mobility.kernels`, loaded whenever the engine is
-vectorized) runs that recurrence as one sequential sweep over the gathered
-slots, and also does the gather, the lane-change candidate predicate, the
-lane viability test and the overtake ranking scan through per-edge pointer
-tables.  On a host with no C compiler the NumPy fallback resolves the
-advance in order: lane heads and provably unconstrained/stopped followers
-in one vectorized pass (sound conservative bounds on the leader's outcome),
-then exact vectorized rounds for followers whose leader is already final,
-and finally a scalar tail for short chained runs at queue boundaries.  Both
-produce results bit-for-bit identical to the per-vehicle engine.  Only
+stable slot-index arrays through per-edge pointer tables and updates the
+arrays in place, with no per-step ``np.fromiter``/attribute packing.  The
+``Vehicle`` objects' kinematic fields become lazily synced mirrors
+(refreshed by any public accessor; see :attr:`TrafficEngine.vehicles`).
+Because each lane advances front to back against its leader's post-step
+state, the update is not a single elementwise pass: the native step kernel
+(:mod:`repro.mobility.kernels`) runs that recurrence as one sequential
+sweep over the gathered slots, and also does the gather, the lane-change
+candidate predicate, the lane viability test and the overtake ranking scan.
+Its results are bit-for-bit identical to the per-vehicle engine.  Only
 actual lane-change candidates run the scalar target-lane logic, in
 reference RNG order.  Overtakes are detected by checking each multilane
 segment's cached (position, vid) ranking for inversions instead of
@@ -46,16 +40,19 @@ comparing all pairs, and intersections only consider the vehicles actually
 waiting at a stop line.  In batched mode :meth:`TrafficEngine.step_batch`
 emits plain crossings as index arrays (:class:`~repro.mobility.events.
 StepBatch`) consumed directly by the counting protocol — no per-crossing
-event objects.  ``vectorized=False`` selects the original seed per-vehicle
-loops, kept verbatim as the one reference implementation for the
-golden-trace equivalence tests and the throughput benchmark baseline.
+event objects.
+
+``vectorized=False`` selects the original seed per-vehicle loops, kept
+verbatim as the one reference implementation for the golden-trace
+equivalence tests.  A vectorized engine on a host where the kernel cannot
+be built (no C compiler) runs those same reference loops.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -127,10 +124,12 @@ class TrafficEngine:
         simple road model where traffic is strictly FIFO on every segment.
     vectorized:
         Use the fast path (default): resident arrays driven by the native
-        step kernel (:mod:`repro.mobility.kernels`), or by its NumPy
-        fallback on a host with no C compiler.  ``False`` selects the
-        original per-vehicle reference loops; all of them produce identical
-        event streams and state for the same RNG (golden-trace pinned).
+        step kernel (:mod:`repro.mobility.kernels`).  ``False`` selects the
+        original per-vehicle reference loops; both produce identical event
+        streams and state for the same RNG (golden-trace pinned).  The
+        attribute reports the path that actually runs: it reads ``False``
+        when the kernel cannot be built on this host (no C compiler), and
+        the engine then runs the reference loops.
     """
 
     def __init__(
@@ -156,11 +155,9 @@ class TrafficEngine:
         self.car_following = car_following if car_following is not None else SimplifiedIDM()
         self.lane_change = lane_change if lane_change is not None else LaneChangeModel()
         self.allow_overtaking = bool(allow_overtaking)
-        self.vectorized = bool(vectorized)
-        #: the native step kernel; None on the reference engine and on the
-        #: NumPy fallback (no C compiler on this host).
+        #: the native step kernel; None on the reference engine.
         self._kernel: Optional[StepKernel] = None
-        if self.vectorized:
+        if vectorized:
             cf = self.car_following
             self._kernel = load_step_kernel(
                 dt_s=self.dt_s,
@@ -171,6 +168,9 @@ class TrafficEngine:
                 min_gap_m=MIN_GAP_M,
                 arrival_eps_m=_ARRIVAL_EPS_M,
             )
+        # The fast path is the kernel: without it (no C compiler) the
+        # engine runs the reference loops.
+        self.vectorized = self._kernel is not None
 
         self.time_s: float = 0.0
         self._vehicles: Dict[int, Vehicle] = {}
@@ -197,10 +197,10 @@ class TrafficEngine:
         # Sorted indices (into _state_by_index) of edges carrying vehicles,
         # so the hot step never walks the empty part of the network.
         self._occupied: List[int] = []
-        # Sorted subset of ``_occupied``: the multilane edges, maintained at
-        # the same occupancy transitions — the NumPy overtake scan consults
-        # it instead of re-deriving watch eligibility per edge per step.
-        self._occupied_ml: List[int] = []
+        # How many of the ``_occupied`` edges are multilane, kept at the same
+        # occupancy transitions: zero means no lane change or overtake can
+        # happen this step.
+        self._n_occupied_ml = 0
         # Sparse: edges with vehicles waiting at the stop line, and those
         # vehicles themselves (always their lane's head).
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
@@ -226,10 +226,10 @@ class TrafficEngine:
         # the Vehicle objects are refreshed lazily (``_sync_kinematics``)
         # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
         # per-current-segment invariants rewritten on every placement;
-        # ``_desired`` is fixed at spawn.  ``_gather_cache`` holds each
-        # edge's gathered slot-index array (lane-major, front to back) and
-        # ``_is_head`` its lane-head flags, both rebuilt only for edges whose
-        # lane lists actually changed — so a step gathers stable array views
+        # ``_desired`` is fixed at spawn.  Each edge's gathered slot-index
+        # array (lane-major, front to back, in ``_gather_bufs``) and its
+        # lane-head flags (``_is_head``) are rebuilt only for edges whose
+        # lane lists actually changed — so a step gathers stable arrays
         # instead of re-packing per-vehicle attributes.
         self._capacity = 0
         self._next_slot = 0
@@ -248,30 +248,27 @@ class TrafficEngine:
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
         n_edges = len(self._state_by_index)
-        self._gather_cache: List[Optional[np.ndarray]] = [None] * n_edges
-        #: edges whose gather cache entry was invalidated since the last
-        #: gather — processed (rebuilt) up front each step so the gather's
-        #: per-edge walk needs no per-edge checks.
+        #: edges whose gathered slot array was invalidated since the last
+        #: gather — rebuilt up front each step so the gather's per-edge walk
+        #: needs no per-edge checks.
         self._gather_dirty: Set[int] = set()
-        #: per-edge count of non-empty lanes, refreshed together with
-        #: ``_gather_cache`` — used to skip overtake detection on segments
+        #: per-edge count of non-empty lanes, refreshed together with the
+        #: gathered slot array — used to skip overtake detection on segments
         #: whose vehicles all share one lane.
         self._occ_lanes: List[int] = [0] * n_edges
-        #: per-edge overtake ranking as (slot array, vid array) pairs,
-        #: index-parallel to ``_ranked``'s vehicle lists; None = dirty.
-        self._ranked_np: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_edges
+        #: whether each edge's (slot, vid) ranking buffers behind the
+        #: kernel's ranking pointer table still mirror ``_ranked``.
+        self._rank_fresh: List[bool] = [False] * n_edges
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
-        # arrival/movement masks, the lane-change candidate mask and the
-        # NumPy overtake scan's concat targets.  The kernel binds the first
-        # four once per capacity change, making each per-step native call a
-        # cached-pointer invocation with only the count varying.
+        # arrival/movement masks and the lane-change candidate mask.  The
+        # kernel binds them once per capacity change, making each per-step
+        # native call a cached-pointer invocation with only the count
+        # varying.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._moved_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
-        self._rank_buf = np.empty(0, dtype=np.intp)
-        self._vid_buf = np.empty(0, dtype=np.int64)
         # Edge-count-sized (static) scratch: per-edge inversion flags out of
         # the kernel's ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
@@ -281,8 +278,7 @@ class TrafficEngine:
         # mirror and the per-edge ranking-scan eligibility byte.  Updated
         # only where the corresponding cache entry changes (a handful of
         # edges per step), so the steady-state gather and overtake scan
-        # are each one bound native call with no per-edge Python walk.  The
-        # NumPy fallback keeps the per-edge comprehension paths.
+        # are each one bound native call with no per-edge Python walk.
         self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
         self._gather_len = np.zeros(n_edges, dtype=np.int64)
         self._occ_buf = np.zeros(n_edges, dtype=np.int64)
@@ -313,7 +309,7 @@ class TrafficEngine:
         #: the next pointer-table scan (cache invalidated or occupied-lane
         #: count changed).
         self._rank_dirty: Set[int] = set()
-        if self._kernel is not None:
+        if self.vectorized:
             self._bind_kernel()
         self._kinematics_stale = False
         #: event sink for the current step_batch() call (None => step()
@@ -423,10 +419,7 @@ class TrafficEngine:
         self._newly_buf = np.empty(capacity, dtype=bool)
         self._moved_buf = np.empty(capacity, dtype=bool)
         self._cand_buf = np.empty(capacity, dtype=bool)
-        self._rank_buf = np.empty(capacity, dtype=np.intp)
-        self._vid_buf = np.empty(capacity, dtype=np.int64)
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
 
     def _bind_kernel(self) -> None:
         """(Re-)bind the native kernel to the current resident arrays.
@@ -568,7 +561,7 @@ class TrafficEngine:
                 insort(self._occupied, order)
                 self._occ_stale = True
                 if seg.lanes > 1:
-                    insort(self._occupied_ml, order)
+                    self._n_occupied_ml += 1
             slot = vehicle.slot
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
@@ -581,12 +574,11 @@ class TrafficEngine:
                 lane_list, (-vehicle.pos_m, vehicle.vid), key=self._lane_sort_key
             )
             lane_list.insert(idx, vehicle)
-            self._gather_cache[order] = None
             self._gather_dirty.add(order)
             ranked = self._ranked[order]
             if ranked is not None:
                 insort(ranked, vehicle, key=self._rank_sort_key)
-                self._ranked_np[order] = None
+                self._rank_fresh[order] = False
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
 
@@ -600,7 +592,7 @@ class TrafficEngine:
                 del self._occupied[bisect_left(self._occupied, order)]
                 self._occ_stale = True
                 if self._edge_ml[order]:
-                    del self._occupied_ml[bisect_left(self._occupied_ml, order)]
+                    self._n_occupied_ml -= 1
             # Materialize the departing vehicle's kinematics so exit events
             # and the departed pool carry its final state even though the
             # resident arrays are the in-run source of truth.
@@ -609,12 +601,11 @@ class TrafficEngine:
             vehicle.speed_mps = float(self._speed[slot])
             self._wait_flag[slot] = False
             self._lanes[edge][vehicle.lane].remove(vehicle)
-            self._gather_cache[order] = None
             self._gather_dirty.add(order)
             ranked = self._ranked[order]
             if ranked is not None:
                 ranked.remove(vehicle)
-                self._ranked_np[order] = None
+                self._rank_fresh[order] = False
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
             if vehicle.waiting_since_s is not None:
@@ -731,8 +722,8 @@ class TrafficEngine:
 
         Only called for edges whose lane lists changed since their last
         gather (place / removal / lane change); every other edge reuses its
-        cached array, so the step's gather concatenates resident index
-        arrays rather than re-packing per-vehicle attributes.
+        cached array, so the step's gather copies resident index arrays
+        rather than re-packing per-vehicle attributes.
         """
         lanes = self._state_by_index[ei][2]
         is_head = self._is_head
@@ -755,13 +746,11 @@ class TrafficEngine:
                            dtype=np.intp)
             self._gather_bufs[ei] = buf
             self._gather_ptr[ei] = buf.ctypes.data
-        part = buf[:k]
-        part[:] = slots
-        self._gather_cache[ei] = part
+        buf[:k] = slots
         self._gather_len[ei] = k
         self._bounds_np[ei][:] = bounds
         self._occ_lanes[ei] = occupied_lanes
-        if self._kernel is not None and self._edge_ml[ei]:
+        if self._edge_ml[ei]:
             # The occupied-lane count gates ranking-scan eligibility;
             # re-derive it before the next pointer-table scan.
             self._rank_dirty.add(ei)
@@ -773,22 +762,13 @@ class TrafficEngine:
         to back, so a follower's in-lane leader is the previous gather
         index), evaluate the blocked-follower predicate over the whole
         gather, run the scalar-RNG-order target-lane choice for the actual
-        candidates only, then advance.  The step takes one of two
-        equivalent forms:
+        candidates only, then advance: one bound native call sweeps the
+        gather order updating the resident position/speed arrays *in
+        place* — each follower naturally reads its leader's already-written
+        post-step state, so the whole front-to-back recurrence runs in one
+        pass, returning the arrival and movement masks.  State and events
+        are bit-identical to the reference loops (golden-trace pinned).
 
-        * **native kernel** (loaded whenever a C compiler is available):
-          bound native calls gather through the pointer table, build the
-          candidate mask, test lane viability and sweep the gather order
-          updating the resident position/speed arrays *in place* — each
-          follower naturally reads its leader's already-written post-step
-          state, so the whole front-to-back recurrence runs in one pass,
-          returning the arrival and movement masks;
-        * **NumPy fallback**: gathered columns, viability checked on sliced
-          position spans, and the classify / exact-rounds / scalar-tail
-          resolution, with the arrival bookkeeping folded into one
-          vectorized pass over the ``_wait_flag`` mirror.
-
-        Both produce bit-identical state and events (golden-trace pinned).
         Overtake detection afterwards skips multilane segments whose
         vehicles currently share a single lane: car following preserves
         strict in-lane (position, vid) order and never creates ties (a
@@ -796,8 +776,8 @@ class TrafficEngine:
         lane changes never move vehicles longitudinally — so a one-lane
         ranking cannot invert.
         """
-        dt = self.dt_s
-        cf = self.car_following
+        kernel = self._kernel
+        assert kernel is not None
         n = self._gather_fast()
         if n == 0:
             return
@@ -806,114 +786,24 @@ class TrafficEngine:
         # play this step; single-vehicle multilane edges cost nothing extra
         # (their lone vehicle is a lane head, so it can never be a
         # candidate, and the overtake scan skips one-lane occupancies).
-        watching = self.allow_overtaking and bool(self._occupied_ml)
-
-        pos_a = self._pos
-        speed_a = self._speed
-        wait_flag = self._wait_flag
-        kernel = self._kernel
-        if kernel is not None:
-            # The kernel path never gathers kinematic columns: the
-            # candidate mask comes from the native predicate over the
-            # resident arrays.
-            if (
-                watching
-                and kernel.candidates_bound(n)
-                and self._lane_change_batch(idx, self._cand_buf[:n], kernel.lane_opts_bound)
-            ):
-                # Accepted moves re-ordered some lanes: redo the gather
-                # (one bound call; the edges that did not change are
-                # rewritten with the same slots).
-                self._gather_fast()
-            # One native call: in-place resident-array sweep in gather
-            # order (the exact reference recurrence), arrival/movement
-            # masks out.  The return value is the newly-arrived count, so
-            # the no-arrival common case skips the mask reduction too.
-            n_newly = kernel.advance_bound(n)
-            newly = self._newly_buf[:n] if n_newly else None
-        else:
-            pos = pos_a[idx]
-            speed = speed_a[idx]
-            if watching:
-                lc = self.lane_change
-                desired = self._desired[idx]
-                cand = np.zeros(n, dtype=bool)
-                cand[1:] = ((pos[:-1] - pos[1:]) <= lc.blocked_distance_m) & (
-                    (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
-                )
-                cand &= self._ml[idx] & ~self._is_head[idx]
-                if cand.any() and self._lane_change_batch(idx, cand, self._lane_options):
-                    self._gather_fast()
-                    pos = pos_a[idx]
-                    speed = speed_a[idx]
-            free = self._freeflow[idx]
-            length = self._seglen[idx]
-            heads = self._is_head[idx]
-
-            vfree = cf.batch_free_speed(speed, free, dt)
-            cand_speed = np.maximum(0.0, vfree)
-            cand_raw = pos + cand_speed * dt
-            cand_pos = np.minimum(cand_raw, length)
-
-            # The vehicle at gather index i-1 is the in-lane leader of every
-            # non-head vehicle i, so plain shifted views bound its post-step
-            # position: below by its pre-step position, above by its
-            # candidate.
-            unconstrained_f, stopped_f = cf.batch_classify(
-                pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
-            )
-            stopped = np.zeros(n, dtype=bool)
-            stopped[1:] = stopped_f
-            stopped[heads] = False
-            resolved = np.empty(n, dtype=bool)
-            resolved[0] = False
-            resolved[1:] = unconstrained_f | stopped_f
-            resolved[heads] = True
-
-            new_pos = np.where(stopped, pos, cand_pos)
-            new_speed = np.where(stopped, 0.0, cand_speed)
-
-            residual = np.nonzero(~resolved)[0]
-            while residual.size > 24:
-                # Exact vectorized rounds: residual followers whose leader
-                # is already resolved see its final state, so every pass
-                # peels one chain depth and only short chained tails stay
-                # scalar.
-                ready = resolved[residual - 1]
-                if not ready.any():
-                    break
-                ridx = residual[ready]
-                lidx = ridx - 1
-                new_pos[ridx], new_speed[ridx] = cf.batch_follow(
-                    pos[ridx], vfree[ridx], new_pos[lidx], new_speed[lidx],
-                    length[ridx], dt,
-                )
-                resolved[ridx] = True
-                residual = residual[~ready]
-
-            if residual.size:
-                # Residual indices stay ascending, so the in-lane leader i-1
-                # of a residual i is always final when i is processed.
-                follow = cf.follow_scalar
-                for i in residual.tolist():
-                    new_pos[i], new_speed[i] = follow(
-                        pos[i], vfree[i], new_pos[i - 1], new_speed[i - 1],
-                        length[i], dt,
-                    )
-
-            # All arrivals in one vectorized pass: ``_wait_flag`` mirrors
-            # ``waiting_since_s is not None``, so no per-vehicle probing.
-            newly = (new_pos >= length - _ARRIVAL_EPS_M) & ~wait_flag[idx]
-            if not newly.any():
-                newly = None
-            pos_a[idx] = new_pos
-            speed_a[idx] = new_speed
-
-        if newly is not None:
+        watching = self.allow_overtaking and self._n_occupied_ml > 0
+        if (
+            watching
+            and kernel.candidates_bound(n)
+            and self._lane_change_batch(idx, self._cand_buf[:n])
+        ):
+            # Accepted moves re-ordered some lanes: redo the gather (one
+            # bound call; the edges that did not change are rewritten with
+            # the same slots).
+            self._gather_fast()
+        # The return value is the newly-arrived count, so the no-arrival
+        # common case skips the mask reduction.
+        if kernel.advance_bound(n):
             time_s = self.time_s
             waiting = self._waiting
+            wait_flag = self._wait_flag
             slot_vehicle = self._slot_vehicle
-            for slot in idx[newly].tolist():
+            for slot in idx[self._newly_buf[:n]].tolist():
                 v = slot_vehicle[slot]
                 assert v is not None
                 v.waiting_since_s = time_s
@@ -928,66 +818,28 @@ class TrafficEngine:
     def _gather_fast(self) -> int:
         """Flatten the occupied edges' cached slot arrays into ``_idx_buf``.
 
-        Edges whose cache was invalidated since the last gather
-        (``_gather_dirty``) are rebuilt up front.  With the kernel, one
-        bound native call then walks the pointer table; the NumPy fallback
-        does one ``np.concatenate`` over the per-edge arrays (flattening
-        through a Python list instead costs O(vehicles) interpreter-level
-        appends per step, which dominated the gather at 100k vehicles).
-        Returns the gathered element count (0 = nothing occupied).
+        Edges invalidated since the last gather (``_gather_dirty``) are
+        rebuilt up front; one bound native call then walks the pointer
+        table.  The occupied-edge mirror is refreshed only when membership
+        actually changed.  Returns the gathered element count (0 = nothing
+        occupied).
         """
-        cache = self._gather_cache
+        kernel = self._kernel
+        assert kernel is not None
         dirty = self._gather_dirty
         if dirty:
             rebuild = self._rebuild_gather
             for ei in dirty:
-                if cache[ei] is None:
-                    rebuild(ei)
+                rebuild(ei)
             dirty.clear()
         occupied = self._occupied
-        kernel = self._kernel
-        if kernel is not None:
-            # The Python side only refreshes the occupied-edge mirror when
-            # membership actually changed.
-            m = len(occupied)
-            if self._occ_stale:
-                self._occ_buf[:m] = occupied
-                self._occ_stale = False
-            return kernel.gather_bound(m)
-        parts = cast("List[np.ndarray]", [cache[ei] for ei in occupied])
-        total = sum([part.shape[0] for part in parts])
-        if total:
-            np.concatenate(parts, out=self._idx_buf[:total])
-        return total
+        m = len(occupied)
+        if self._occ_stale:
+            self._occ_buf[:m] = occupied
+            self._occ_stale = False
+        return kernel.gather_bound(m)
 
-    def _lane_options(self, ei: int, lane: int, nlanes: int, own: float) -> int:
-        """NumPy port of the kernel's both-neighbour lane viability test.
-
-        Bit 0: ``lane + 1`` exists and no vehicle in it is within half the
-        required gap of ``own``; bit 1: the same for ``lane - 1``.  Reads
-        the edge's cached gather (lane-major, delimited by ``_bounds_np``)
-        and the pre-advance resident positions, with the scalar model's
-        ``|other - own| < half`` float sequence (see
-        :func:`~repro.mobility.kernels.lane_options_py`).
-        """
-        slots = self._gather_cache[ei]
-        assert slots is not None
-        bounds = self._bounds_np[ei]
-        half = self.lane_change.required_gap_m / 2.0
-        bits = 0
-        for bit, target in ((1, lane + 1), (2, lane - 1)):
-            if 0 <= target < nlanes:
-                others = self._pos[slots[bounds[target] : bounds[target + 1]]]
-                if not (np.abs(others - own) < half).any():
-                    bits |= bit
-        return bits
-
-    def _lane_change_batch(
-        self,
-        idx: np.ndarray,
-        cand: np.ndarray,
-        lane_opts: Callable[[int, int, int, float], int],
-    ) -> bool:
+    def _lane_change_batch(self, idx: np.ndarray, cand: np.ndarray) -> bool:
         """Lane-change pass over the gather-aligned candidate mask.
 
         Candidates are visited in gather order, which is exactly the
@@ -996,11 +848,14 @@ class TrafficEngine:
         (the gather is edge-block-ordered).  Decisions within a segment read
         the pre-change lane lists (the reference pass applies its moves only
         after scanning the whole segment), so accepted moves are buffered
-        and applied at the segment boundary.  ``lane_opts(ei, lane, nlanes,
-        own)`` returns the both-neighbour viability bits: the kernel's bound
-        ``lane_options`` call or :meth:`_lane_options`.  Returns whether any
-        segment's lane order changed — the caller then redoes the gather.
+        and applied at the segment boundary.  The kernel's bound
+        ``lane_options`` call returns each candidate's both-neighbour
+        viability bits.  Returns whether any segment's lane order changed —
+        the caller then redoes the gather.
         """
+        kernel = self._kernel
+        assert kernel is not None
+        lane_opts = kernel.lane_opts_bound
         slot_vehicle = self._slot_vehicle
         state_by_index = self._state_by_index
         edge_order = self._edge_order
@@ -1062,7 +917,6 @@ class TrafficEngine:
                 target_list, (-pos[v.slot], v.vid), key=self._lane_sort_key
             )
             target_list.insert(i, v)
-        self._gather_cache[ei] = None
         self._gather_dirty.add(ei)
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
@@ -1075,79 +929,38 @@ class TrafficEngine:
         :meth:`_advance_segments_batch`).  The kernel sweeps every edge in
         one bound call, gated by the ``_rank_elig`` byte that is repaired
         here for the edges invalidated since the last scan (a handful per
-        step).  The NumPy fallback concatenates the watched rankings (the
-        ``_occupied_ml`` edges, in gather order) into persistent buffers
-        and resolves positional ties vectorized against the cached vid
-        arrays — ties are routine (queues clamp at the stop line),
-        inversions are not, so the common step is a pure array scan.
+        step).
         """
-        occ = self._occ_lanes
         kernel = self._kernel
-        if kernel is not None:
-            dirty = self._rank_dirty
-            if dirty:
-                elig = self._rank_elig
-                for di in dirty:
-                    if occ[di] > 1:
-                        self._ranking(di)
-                        elig[di] = 1
-                    else:
-                        elig[di] = 0
-                dirty.clear()
-            if not kernel.rank_all_bound():
-                return
-            flagged = np.nonzero(self._flags_buf)[0].tolist()
-        else:
-            eis = [ei for ei in self._occupied_ml if occ[ei] > 1]
-            if not eis:
-                return
-            cache = self._ranked_np
-            raw = [cache[ei] for ei in eis]
-            if None in raw:
-                raw = [self._ranking(ei) for ei in eis]
-            pairs = cast("List[Tuple[np.ndarray, np.ndarray]]", raw)
-            lens = [pair[0].shape[0] for pair in pairs]
-            if len(eis) == 1:
-                slots_all, vids_all = pairs[0]
-            else:
-                total = sum(lens)
-                slots_all = self._rank_buf[:total]
-                vids_all = self._vid_buf[:total]
-                np.concatenate([pair[0] for pair in pairs], out=slots_all)
-                np.concatenate([pair[1] for pair in pairs], out=vids_all)
-            arr = self._pos[slots_all]
-            prev = arr[:-1]
-            nxt = arr[1:]
-            bad = nxt < prev
-            # A positional tie is an inversion when the vid order disagrees.
-            ties = nxt == prev
-            np.logical_and(ties, vids_all[:-1] > vids_all[1:], out=ties)
-            np.logical_or(bad, ties, out=bad)
-            bounds = np.cumsum(lens)
-            bad[bounds[:-1] - 1] = False
-            hits = np.nonzero(bad)[0]
-            if hits.size == 0:
-                return
-            flagged = [
-                eis[j]
-                for j in np.unique(np.searchsorted(bounds, hits, side="right")).tolist()
-            ]
+        assert kernel is not None
+        dirty = self._rank_dirty
+        if dirty:
+            occ = self._occ_lanes
+            elig = self._rank_elig
+            for di in dirty:
+                if occ[di] > 1:
+                    self._refresh_ranking(di)
+                    elig[di] = 1
+                else:
+                    elig[di] = 0
+            dirty.clear()
+        if not kernel.rank_all_bound():
+            return
         ranked = self._ranked
-        for ei in flagged:
+        for ei in np.nonzero(self._flags_buf)[0].tolist():
             chain = ranked[ei]
             assert chain is not None
             ranked[ei] = self._emit_overtakes(ei, chain, events)
 
-    def _ranking(self, ei: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Edge ``ei``'s cached (slot, vid) ranking arrays, rebuilt if dirty.
+    def _refresh_ranking(self, ei: int) -> None:
+        """Copy edge ``ei``'s overtake ranking into its (slot, vid) buffers.
 
-        The arrays are prefixes of grow-only per-edge buffers with stable
-        addresses, so a rebuild is a bulk copy and the kernel's ranking
-        pointer table changes only when a buffer actually grows.
+        A no-op when they are still fresh.  The buffers are grow-only with
+        stable addresses, so a refresh is a bulk copy and the kernel's
+        ranking pointer table changes only when a buffer actually grows.
         """
-        pair = self._ranked_np[ei]
-        if pair is not None:
-            return pair
+        if self._rank_fresh[ei]:
+            return
         chain = self._ranked[ei]
         assert chain is not None
         k = len(chain)
@@ -1164,9 +977,7 @@ class TrafficEngine:
         sb[:k] = [v.slot for v in chain]
         vb[:k] = [v.vid for v in chain]
         self._rank_len[ei] = k
-        pair = (sb[:k], vb[:k])
-        self._ranked_np[ei] = pair
-        return pair
+        self._rank_fresh[ei] = True
 
     def _emit_overtakes(
         self,
@@ -1185,7 +996,7 @@ class TrafficEngine:
         """
         seg = self._state_by_index[ei][0]
         chain_after = sorted(chain_before, key=self._rank_sort_key)
-        self._ranked_np[ei] = None
+        self._rank_fresh[ei] = False
         self._rank_elig[ei] = 0
         self._rank_dirty.add(ei)
         rank_before = {v.vid: r for r, v in enumerate(chain_before)}

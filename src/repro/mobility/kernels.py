@@ -28,20 +28,26 @@ is a plain IEEE-754 double op in source order (no FMA contraction), and
 with explicit ternary min/max that return the *first* operand on ties —
 mirroring Python's ``min``/``max`` (relevant for ``max(0.0, -0.0)``).  On a
 host with no C compiler :func:`load_step_kernel` returns ``None`` and the
-engine runs its NumPy fallback, which is bit-identical too.
+engine runs its reference loops instead (``TrafficEngine.vectorized`` then
+reads ``False``).
 
 Bitwise-equivalence contract
 ----------------------------
-The kernel must reproduce :meth:`SimplifiedIDM.advance` /
-:meth:`SimplifiedIDM.follow_scalar` operation for operation:
+The kernel must reproduce :meth:`SimplifiedIDM.advance` (with
+:meth:`SimplifiedIDM.target_speed`) operation for operation, as written
+out in :func:`advance_chain_py`:
 
-* head update: ``vfree = clip(free, v - decel*dt, v + accel*dt)``,
-  ``new_pos = min(pos + max(0, vfree)*dt, length)``;
-* follower update: the exact ``follow_scalar`` sequence against the
+* free speed: ``vfree = clip(free, v - decel*dt, v + accel*dt)``, bitwise
+  the scalar two-branch form — when ``v < free`` the upper bound binds
+  exactly like ``min(free, v + accel*dt)`` and the lower bound, below
+  ``v``, cannot; symmetrically for deceleration;
+* head update: ``new_pos = min(pos + max(0, vfree)*dt, length)``;
+* follower update: the gap / safe-speed / ceiling sequence against the
   leader's just-written post-step state (the in-place sweep makes the
   gather order supply it naturally);
-* scalar products (``accel*dt``) and the headway denominator are computed
-  *once* in Python and passed in, matching NumPy's scalar broadcasting.
+* the products ``accel*dt`` / ``decel*dt`` and the headway denominator
+  ``max(dt + headway*0.25, 1e-9)`` are computed *once* in Python and passed
+  in — the same double values the scalar model computes per vehicle.
 
 :func:`advance_chain_py`, :func:`lane_change_candidates_py`,
 :func:`gather_all_py`, :func:`lane_options_py` and
@@ -54,16 +60,12 @@ tests, and a heap keyed on the same unique ``(dist, insertion counter)``
 pairs, so it pops in ``heapq``'s order; that Python search is also the
 only fallback (no compiler, or an unfrozen network).
 
-Calling conventions
--------------------
-A :class:`StepKernel` can be driven two ways.  The explicit calls
-(:meth:`StepKernel.advance`, :meth:`StepKernel.candidates`, ...) take the
-arrays every time (used by the unit tests against the oracles).  The engine
-instead *binds* its resident arrays, pointer tables and preallocated output
-buffers once per capacity change (:meth:`StepKernel.bind`) and then issues
-the ``*_bound`` calls with just an element count — every pointer and scalar
-is cached as a ready ``ctypes`` argument, cutting per-step FFI overhead to
-a single foreign call.
+A :class:`StepKernel` is driven one way: the engine *binds* its resident
+arrays, pointer tables and preallocated output buffers once per capacity
+change (:meth:`StepKernel.bind`) and then issues the ``*_bound`` calls with
+just an element count — every pointer and scalar is cached as a ready
+``ctypes`` argument, cutting per-step FFI overhead to a single foreign
+call.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def lane_change_candidates_py(
     close (``gap <= blocked_m``) and slow (``desired - leader_speed >
     gain_mps``).  All inputs are slot-indexed resident columns; ``cand`` is
     the gather-aligned output mask.  The comparisons are the exact float
-    operations of the NumPy predicate, so the masks are identical bit for
+    operations of the scalar predicate, so the masks are identical bit for
     bit.
     """
     n = idx.shape[0]
@@ -241,8 +243,7 @@ def gather_all_py(
     ``occ[:m]`` lists the occupied edge indices in gather order; ``ptrs[e]``
     / ``lens[e]`` give the address and length of edge ``e``'s cached slot
     array.  Copies the per-edge arrays back to back into ``out`` and returns
-    the total element count — exactly what the engine's per-edge
-    ``np.concatenate`` walk produced.
+    the total element count.
     """
     total = 0
     for j in range(occ.shape[0]):
@@ -672,104 +673,6 @@ class StepKernel:
         self._lib = lib
         self._params = params
 
-    # --------------------------------------------------- explicit-arg calls
-    def advance(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        freeflow: np.ndarray,
-        seglen: np.ndarray,
-        heads: np.ndarray,
-        waitflag: np.ndarray,
-        newly: np.ndarray,
-        moved: np.ndarray,
-    ) -> int:
-        """Run one chained advance (see :func:`advance_chain_py`).
-
-        ``pos``/``speed`` are updated in place at the slots named by
-        ``idx``; ``newly``/``moved`` are gather-aligned outputs.  Returns
-        the number of ``newly`` bits set.
-        """
-        return int(self._lib.advance_chain(
-            idx.ctypes.data, idx.shape[0],
-            pos.ctypes.data, speed.ctypes.data,
-            freeflow.ctypes.data, seglen.ctypes.data,
-            heads.ctypes.data, waitflag.ctypes.data,
-            newly.ctypes.data, moved.ctypes.data,
-            *self._params,
-        ))
-
-    def candidates(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        desired: np.ndarray,
-        multilane: np.ndarray,
-        heads: np.ndarray,
-        cand: np.ndarray,
-        blocked_m: float,
-        gain_mps: float,
-    ) -> int:
-        """Fill the lane-change candidate mask (see
-        :func:`lane_change_candidates_py`); returns the candidate count."""
-        return int(self._lib.lane_change_candidates(
-            idx.ctypes.data, idx.shape[0],
-            pos.ctypes.data, speed.ctypes.data, desired.ctypes.data,
-            multilane.ctypes.data, heads.ctypes.data, cand.ctypes.data,
-            blocked_m, gain_mps,
-        ))
-
-    def gather_all(
-        self,
-        occ: np.ndarray,
-        ptrs: np.ndarray,
-        lens: np.ndarray,
-        out: np.ndarray,
-    ) -> int:
-        """Pointer-table gather (see :func:`gather_all_py`); returns the
-        total gathered count."""
-        return int(self._lib.gather_all(
-            occ.ctypes.data, occ.shape[0], ptrs.ctypes.data, lens.ctypes.data,
-            out.ctypes.data,
-        ))
-
-    def rank_scan_all(
-        self,
-        elig: np.ndarray,
-        ptrs_s: np.ndarray,
-        ptrs_v: np.ndarray,
-        lens: np.ndarray,
-        pos: np.ndarray,
-        flags: np.ndarray,
-    ) -> int:
-        """Pointer-table full-range ranking scan (see
-        :func:`rank_scan_all_py`); returns the flagged-edge count."""
-        return int(self._lib.rank_scan_all(
-            elig.ctypes.data, elig.shape[0],
-            ptrs_s.ctypes.data, ptrs_v.ctypes.data, lens.ctypes.data,
-            pos.ctypes.data, flags.ctypes.data,
-        ))
-
-    def lane_options(
-        self,
-        e: int,
-        lane: int,
-        nlanes: int,
-        own: float,
-        half: float,
-        gptrs: np.ndarray,
-        bptrs: np.ndarray,
-        pos: np.ndarray,
-    ) -> int:
-        """Both-neighbour lane viability bits (see :func:`lane_options_py`)."""
-        return int(self._lib.lane_options(
-            e, lane, nlanes, own, half,
-            gptrs.ctypes.data, bptrs.ctypes.data, pos.ctypes.data,
-        ))
-
-    # ------------------------------------------------------ bound fast path
     def bind(
         self,
         idx_buf: np.ndarray,
@@ -998,12 +901,13 @@ def load_step_kernel(
     """Load the native kernel bound to these parameters.
 
     Returns ``None`` when it cannot be built (no C compiler) — the engine
-    then runs its NumPy fallback, which is bit-identical.
+    then runs its reference loops, which are bit-identical.
     """
     lib = _load_cc()
     if lib is None:
         return None
-    # The headway denominator, computed once exactly as follow_scalar does.
+    # The headway denominator, computed once exactly as
+    # SimplifiedIDM.target_speed does.
     denom = max(dt_s + headway_s * 0.25, 1e-9)
     params = (
         float(dt_s),

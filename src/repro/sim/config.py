@@ -53,11 +53,11 @@ class MobilityConfig:
 
     ``vectorized`` selects the engine's fast path (default): resident
     arrays driven by the native step kernel (:mod:`repro.mobility.kernels`,
-    built with the system C compiler), or by its NumPy fallback on a host
-    with no C compiler.  The scalar per-vehicle reference engine
-    (``vectorized=False``) produces a bit-for-bit identical event stream
-    and is kept as the equivalence baseline exercised by the dual-engine
-    test matrix.  :attr:`compiled` reports which fast path runs; it is
+    built with the system C compiler).  The scalar per-vehicle reference
+    engine (``vectorized=False``) produces a bit-for-bit identical event
+    stream and is kept as the equivalence baseline exercised by the
+    dual-engine test matrix; it is also what runs on a host with no C
+    compiler.  :attr:`compiled` reports whether the fast path runs; it is
     derived, not a setting.
     """
 

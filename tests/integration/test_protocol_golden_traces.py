@@ -7,7 +7,8 @@ Both pipelines must reproduce them exactly — per-checkpoint counters,
 adjustments, stabilization times (bitwise, via float hex), exchange
 statistics, collection statistics and the collected global view — on every
 engine: the reference engine, the vectorized engine on its native kernel,
-and the vectorized engine forced onto its NumPy fallback.  Any divergence
+and a vectorized engine on a host with no C compiler (which runs the
+reference loops).  Any divergence
 fails the comparison here before it can silently move the paper's
 correctness results.
 
@@ -225,21 +226,21 @@ def _load_fixture() -> dict:
 @pytest.fixture
 def engine(request, monkeypatch):
     """The engine under test: the vectorized engine on the native kernel,
-    the vectorized engine forced onto its NumPy fallback (the loader cache
-    monkeypatched to "unavailable", as on a host with no C compiler), or
-    the reference engine."""
+    a vectorized engine with the loader cache monkeypatched to
+    "unavailable" (as on a host with no C compiler), or the reference
+    engine."""
     from repro.mobility import kernels
 
     if request.param == "vec-engine" and not kernels.available_backends():
         pytest.skip("no C compiler here: the native kernel cannot load")
-    if request.param == "vec-numpy-engine":
+    if request.param == "no-compiler":
         monkeypatch.setattr(kernels, "_C_LIB", None)
     return request.param
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize(
-    "engine", ["vec-engine", "vec-numpy-engine", "ref-engine"], indirect=True
+    "engine", ["vec-engine", "no-compiler", "ref-engine"], indirect=True
 )
 @pytest.mark.parametrize("pipeline", ["batched", "scalar"])
 def test_protocol_trace_matches_scalar_fixture(scenario, pipeline, engine):
@@ -252,9 +253,12 @@ def test_protocol_trace_matches_scalar_fixture(scenario, pipeline, engine):
         vectorized=engine != "ref-engine",
     )
     if engine == "vec-engine":
-        assert sim.engine._kernel is not None
-    elif engine == "vec-numpy-engine":
-        assert sim.engine._kernel is None
+        assert sim.engine.vectorized and sim.engine._kernel is not None
+    else:
+        # The reference loops ran: no kernel, and no vehicle ever got a
+        # slot in the resident arrays.
+        assert not sim.engine.vectorized and sim.engine._kernel is None
+        assert sim.engine._capacity == 0
     trace = protocol_trace(sim)
     # Compare the summary numbers first so a mismatch names itself.
     assert trace["protocol_stats"] == recorded["protocol_stats"]

@@ -5,17 +5,20 @@
 built with the system compiler.  Every entry point must reproduce its
 oracle *bit for bit* on randomized inputs — positions and speeds compared
 with ``array_equal`` plus a sign-bit check (``array_equal`` alone does not
-distinguish ``-0.0`` from ``0.0``), never ``allclose``.  The bound calling
-convention is checked against the explicit-arg one on the same data.
+distinguish ``-0.0`` from ``0.0``), never ``allclose``.  Each entry point
+is driven the way the engine drives it: arrays bound once with
+:meth:`StepKernel.bind`, then the count-only ``*_bound`` call.
 
-When the kernel cannot load, the loader must return ``None`` and the
-engine must run its NumPy fallback with an identical event stream — the
-fallback tests below monkeypatch the loader cache to simulate a host with
-no C compiler, so CI exercises the fallback even where cc exists.
+When the kernel cannot load, the loader must return ``None`` and a
+vectorized engine must run the reference loops with an identical event
+stream — the fallback tests below monkeypatch the loader cache to simulate
+a host with no C compiler, so CI exercises the fallback even where cc
+exists.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -49,6 +52,31 @@ def kernel():
     if k is None:
         pytest.skip("no C compiler here: the native kernel cannot load")
     return k
+
+
+def _bind(kernel, n, n_edges, **given):
+    """Bind ``kernel`` to the ``given`` arrays and zero-filled defaults.
+
+    ``n`` sizes the slot-indexed and gather-aligned arrays, ``n_edges`` the
+    per-edge tables.  Returns every bound argument: the caller holds it
+    while it issues ``*_bound`` calls, which see only raw addresses.
+    """
+    z = np.zeros
+    args = dict(
+        idx_buf=z(n, dtype=np.intp), pos=z(n), speed=z(n), freeflow=z(n),
+        seglen=z(n), heads=z(n, dtype=np.uint8), waitflag=z(n, dtype=np.uint8),
+        newly_buf=z(n, dtype=bool), moved_buf=z(n, dtype=bool), desired=z(n),
+        multilane=z(n, dtype=np.uint8), cand_buf=z(n, dtype=bool),
+        blocked_m=12.0, gain_mps=1.0,
+        flags_buf=z(n_edges, dtype=np.uint8), occ_buf=z(n_edges, dtype=np.int64),
+        gather_ptr=z(n_edges, dtype=np.int64), gather_len=z(n_edges, dtype=np.int64),
+        rank_elig=z(n_edges, dtype=np.uint8), rank_ptr_s=z(n_edges, dtype=np.int64),
+        rank_ptr_v=z(n_edges, dtype=np.int64), rank_len=z(n_edges, dtype=np.int64),
+        bounds_ptr=z(n_edges, dtype=np.int64), gap_half_m=4.0,
+    )
+    args.update(given)
+    kernel.bind(**args)
+    return args
 
 
 def _chain_inputs(rng, n):
@@ -102,9 +130,12 @@ class TestAdvanceChain:
             idx, pos_a, speed_a, freeflow, seglen, heads, waitflag,
             newly_a, moved_a, *_advance_args(),
         )
-        got = kernel.advance(
-            idx, pos_b, speed_b, freeflow, seglen, heads, waitflag, newly_b, moved_b
+        bound = _bind(
+            kernel, n, 1, idx_buf=idx, pos=pos_b, speed=speed_b,
+            freeflow=freeflow, seglen=seglen, heads=heads, waitflag=waitflag,
+            newly_buf=newly_b, moved_buf=moved_b,
         )
+        got = kernel.advance_bound(n)
         assert got == ref
         assert np.array_equal(pos_a, pos_b)
         assert np.array_equal(speed_a, speed_b)
@@ -115,11 +146,9 @@ class TestAdvanceChain:
         assert np.array_equal(moved_a, moved_b)
 
     def test_empty_chain(self, kernel):
-        empty = np.empty(0, dtype=np.intp)
-        z = np.empty(0, dtype=np.uint8)
-        f = np.empty(0, dtype=np.float64)
-        assert kernel.advance(empty, f, f.copy(), f, f, z, z,
-                              np.empty(0, dtype=bool), np.empty(0, dtype=bool)) == 0
+        bound = _bind(kernel, 0, 1)
+        assert kernel.advance_bound(0) == 0
+        assert not bound["newly_buf"].any()
 
 
 class TestLaneChangeCandidates:
@@ -138,7 +167,12 @@ class TestLaneChangeCandidates:
         ref = lane_change_candidates_py(
             idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
         )
-        got = kernel.candidates(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
+        bound = _bind(
+            kernel, n, 1, idx_buf=idx, pos=pos, speed=speed, desired=desired,
+            multilane=multilane, heads=heads, cand_buf=cand_b,
+            blocked_m=12.0, gain_mps=1.0,
+        )
+        got = kernel.candidates_bound(n)
         assert got == ref
         assert np.array_equal(cand_a, cand_b)
 
@@ -173,7 +207,11 @@ class TestGatherAll:
         out_a = np.zeros(cap, dtype=np.int64)
         out_b = np.zeros(cap, dtype=np.int64)
         ref = gather_all_py(occ, ptrs, lens, out_a)
-        got = kernel.gather_all(occ, ptrs, lens, out_b)
+        bound = _bind(
+            kernel, cap, n_edges, idx_buf=out_b, occ_buf=occ,
+            gather_ptr=ptrs, gather_len=lens,
+        )
+        got = kernel.gather_bound(occ.shape[0])
         assert got == ref
         assert np.array_equal(out_a[:ref], out_b[:ref])
         # the gather is the back-to-back concatenation in occ order
@@ -202,7 +240,11 @@ class TestRankScanAll:
         flags_a = np.zeros(n_edges, dtype=np.uint8)
         flags_b = np.zeros(n_edges, dtype=np.uint8)
         ref = rank_scan_all_py(elig, ptrs_s, ptrs_v, lens, pos, flags_a)
-        got = kernel.rank_scan_all(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
+        bound = _bind(
+            kernel, n_slots, n_edges, pos=pos, flags_buf=flags_b,
+            rank_elig=elig, rank_ptr_s=ptrs_s, rank_ptr_v=ptrs_v, rank_len=lens,
+        )
+        got = kernel.rank_all_bound()
         assert got == ref
         assert np.array_equal(flags_a, flags_b)
         # ineligible edges must never be flagged
@@ -236,7 +278,13 @@ class TestLaneOptions:
             own = float(rng.uniform(0.0, 100.0))
             half = float(rng.uniform(1.0, 20.0))
             ref = lane_options_py(e, lane, nlanes, own, half, gptrs, bptrs, pos)
-            got = kernel.lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+            # ``half`` is bound, so each draw re-binds (as the engine would
+            # for a new lane-change model).
+            bound = _bind(
+                kernel, n_slots, n_edges, pos=pos, gather_ptr=gptrs,
+                bounds_ptr=bptrs, gap_half_m=half,
+            )
+            got = kernel.lane_opts_bound(e, lane, nlanes, own)
             assert got == ref
             assert 0 <= got <= 3
 
@@ -246,75 +294,13 @@ class TestLaneOptions:
         gptrs = np.array([slots.ctypes.data], dtype=np.int64)
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([5.0])
-        assert kernel.lane_options(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
+        bound = _bind(kernel, 1, 1, pos=pos, gather_ptr=gptrs, bounds_ptr=bptrs,
+                      gap_half_m=4.0)
+        assert kernel.lane_opts_bound(0, 0, 1, 50.0) == 0
 
 
 # ------------------------------------------------------- bound convention
 class TestBoundCalls:
-    def test_bound_equals_explicit(self, kernel):
-        """The once-bound count-only calls must equal the explicit-arg calls
-        on identical data (same outputs, same in-place effects)."""
-        rng = np.random.default_rng(42)
-        n = 40
-        idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
-        heads = heads.astype(np.uint8)
-        waitflag = waitflag.astype(np.uint8)
-        desired = rng.uniform(5.0, 15.0, n)
-        multilane = (rng.random(n) < 0.7).astype(np.uint8)
-        # One two-lane edge whose cached gather is ``idx``.
-        gather_ptr = np.array([idx.ctypes.data], dtype=np.int64)
-        gather_len = np.array([n], dtype=np.int64)
-        bounds = np.array([0, n // 2, n], dtype=np.int64)
-        bounds_ptr = np.array([bounds.ctypes.data], dtype=np.int64)
-        idx_buf = np.zeros(n, dtype=np.intp)
-        newly_buf = np.zeros(n, dtype=bool)
-        moved_buf = np.zeros(n, dtype=bool)
-        cand_buf = np.zeros(n, dtype=bool)
-        flags_buf = np.ones(1, dtype=np.uint8)
-        zero = np.zeros(1, dtype=np.int64)
-        pos_bound = pos.copy()
-        speed_bound = speed.copy()
-        kernel.bind(
-            idx_buf, pos_bound, speed_bound, freeflow, seglen, heads, waitflag,
-            newly_buf, moved_buf, desired, multilane, cand_buf, 12.0, 1.0,
-            flags_buf=flags_buf, occ_buf=zero, gather_ptr=gather_ptr,
-            gather_len=gather_len, rank_elig=np.zeros(1, dtype=np.uint8),
-            rank_ptr_s=zero, rank_ptr_v=zero, rank_len=zero,
-            bounds_ptr=bounds_ptr, gap_half_m=4.0,
-        )
-        assert kernel.gather_bound(1) == n
-        assert np.array_equal(idx_buf, idx)
-        for lane in (0, 1):
-            for own in rng.uniform(0.0, 120.0, 5).tolist():
-                assert kernel.lane_opts_bound(0, lane, 2, own) == kernel.lane_options(
-                    0, lane, 2, own, 4.0, gather_ptr, bounds_ptr, pos_bound
-                )
-        # An all-ineligible ranking table flags nothing (and clears flags).
-        assert kernel.rank_all_bound() == 0
-        assert not flags_buf.any()
-        n_cand_bound = kernel.candidates_bound(n)
-        cand_from_bound = cand_buf.copy()
-        n_newly_bound = kernel.advance_bound(n)
-
-        pos_exp = pos.copy()
-        speed_exp = speed.copy()
-        newly_exp = np.zeros(n, dtype=bool)
-        moved_exp = np.zeros(n, dtype=bool)
-        cand_exp = np.zeros(n, dtype=bool)
-        n_cand = kernel.candidates(
-            idx, pos_exp, speed_exp, desired, multilane, heads, cand_exp, 12.0, 1.0
-        )
-        n_newly = kernel.advance(
-            idx, pos_exp, speed_exp, freeflow, seglen, heads, waitflag,
-            newly_exp, moved_exp,
-        )
-        assert (n_cand_bound, n_newly_bound) == (n_cand, n_newly)
-        assert np.array_equal(cand_from_bound, cand_exp)
-        assert np.array_equal(pos_bound, pos_exp)
-        assert np.array_equal(speed_bound, speed_exp)
-        assert np.array_equal(newly_buf, newly_exp)
-        assert np.array_equal(moved_buf, moved_exp)
-
     def test_bound_gather_matches_oracle(self, kernel):
         rng = np.random.default_rng(7)
         n_edges, n_slots = 8, 30
@@ -323,16 +309,9 @@ class TestBoundCalls:
         cap = int(lens.sum()) + 1
         idx_buf = np.zeros(cap, dtype=np.intp)
         pos = rng.uniform(0.0, 50.0, n_slots)
-        zf = np.zeros(cap, dtype=np.float64)
-        zb = np.zeros(cap, dtype=bool)
-        zu = np.zeros(cap, dtype=np.uint8)
-        zi = np.zeros(n_edges, dtype=np.int64)
-        kernel.bind(
-            idx_buf, pos, zf.copy(), zf, zf, zu, zu, zb.copy(), zb.copy(),
-            zf, zu, zb.copy(), 12.0, 1.0,
-            flags_buf=np.zeros(n_edges, dtype=np.uint8), occ_buf=occ_buf,
-            gather_ptr=ptrs, gather_len=lens, rank_elig=np.zeros(n_edges, dtype=np.uint8),
-            rank_ptr_s=zi, rank_ptr_v=zi, rank_len=zi, bounds_ptr=zi, gap_half_m=4.0,
+        bound = _bind(
+            kernel, cap, n_edges, idx_buf=idx_buf, pos=pos, occ_buf=occ_buf,
+            gather_ptr=ptrs, gather_len=lens,
         )
         m = 5
         out_ref = np.zeros(cap, dtype=np.int64)
@@ -374,25 +353,37 @@ class TestLoader:
         assert available_backends() == ["cc"]
 
     def test_engine_falls_back_transparently(self, kernel, monkeypatch):
-        """With the kernel unavailable the vectorized engine must run its
-        NumPy fallback and still produce the identical event stream."""
+        """With the kernel unavailable a vectorized engine must run the
+        reference loops and still produce the identical event stream."""
         from repro.mobility.demand import DemandConfig, DemandModel
         from repro.mobility.engine import TrafficEngine
+        from repro.mobility.vehicle import Vehicle
         from repro.roadnet.builders import grid_network
+        from repro.sim.config import MobilityConfig
+
+        def event_key(event):
+            # Vehicles by vid: ``repr(vehicle)`` prints the ``pos_m``
+            # mirror, which the fast path syncs lazily.
+            return (type(event).__name__,) + tuple(
+                value.vid if isinstance(value, Vehicle) else value
+                for value in (getattr(event, f.name) for f in dataclasses.fields(event))
+            )
 
         def run(fallback):
             with monkeypatch.context() as m:
                 if fallback:
                     m.setattr(kernels, "_C_LIB", None)
+                    assert MobilityConfig().compiled is False
                 net = grid_network(3, 3, lanes=2)
                 eng = TrafficEngine(net, np.random.default_rng(3))
+            assert eng.vectorized is not fallback
             assert (eng._kernel is None) == fallback
             dm = DemandModel(net, DemandConfig(volume_fraction=0.7),
                              np.random.default_rng(4))
             eng.spawn_initial(dm.initial_fleet())
             log = []
             for _ in range(200):
-                log.extend(repr(e) for e in eng.step())
+                log.extend(event_key(e) for e in eng.step())
             return log, [
                 (v.vid, v.edge, v.lane, v.pos_m.hex(), v.speed_mps.hex())
                 for v in sorted(eng.vehicles.values(), key=lambda v: v.vid)
