@@ -19,7 +19,7 @@ answers three operational questions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .protocol import CountingProtocol
 
@@ -59,6 +59,23 @@ class ConvergenceMonitor:
         """Record that a vehicle just arrived at ``node`` from ``from_node``."""
         if from_node is not None:
             self._last_traffic[(from_node, node)] = time_s
+
+    def note_crossings(
+        self,
+        from_nodes: Sequence[Optional[object]],
+        nodes: Sequence[object],
+        time_s: float,
+    ) -> None:
+        """Bulk :meth:`note_traffic` for one step's crossings, in order.
+
+        ``from_nodes[i]`` -> ``nodes[i]`` is the i-th crossing; all share
+        ``time_s``.  Same dict contents and insertion order as one
+        :meth:`note_traffic` call per crossing.
+        """
+        last = self._last_traffic
+        for from_node, node in zip(from_nodes, nodes):
+            if from_node is not None:
+                last[(from_node, node)] = time_s
 
     def observe(self, time_s: float) -> None:
         """Refresh convergence bookkeeping (call once per simulation step)."""

@@ -176,14 +176,13 @@ class TrafficEngine:
         self._vehicles: Dict[int, Vehicle] = {}
         self._departed: Dict[int, Vehicle] = {}
         # Flat per-segment occupancy in insertion order (the event-ordering
-        # reference), plus — for the vectorized engine — per-lane lists kept
-        # sorted front to back.  All per-edge dicts share the
-        # ``net.segments()`` iteration order, which fixes the
-        # RNG-consumption and event order of the step.
+        # reference).  All per-edge dicts share the ``net.segments()``
+        # iteration order, which fixes the RNG-consumption and event order
+        # of the step.  The vectorized engine's per-lane order lives in the
+        # native lane tables below (``_gather_bufs`` / ``_bounds_np``).
         self._occupancy: Dict[Tuple[object, object], List[int]] = {}
         self._segments: Dict[Tuple[object, object], DirectedSegment] = {}
-        self._lanes: Dict[Tuple[object, object], List[List[Vehicle]]] = {}
-        # Per-edge (segment, flat occupancy, per-lane lists, multilane?,
+        # Per-edge (segment, flat occupancy, lane count, multilane?,
         # length, edge key) for one-lookup, attribute-free iteration of the
         # hot step; the lists are shared with the dicts above.  ``_ranked``
         # caches each multilane segment's vehicles in ascending (pos, vid)
@@ -206,12 +205,10 @@ class TrafficEngine:
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
         for i, seg in enumerate(net.segments()):
             flat: List[int] = []
-            lanes: List[List[Vehicle]] = [[] for _ in range(seg.lanes)]
             self._occupancy[seg.key] = flat
             self._segments[seg.key] = seg
-            self._lanes[seg.key] = lanes
             self._state_by_index.append(
-                (seg, flat, lanes, seg.lanes > 1, seg.length_m, seg.key)
+                (seg, flat, seg.lanes, seg.lanes > 1, seg.length_m, seg.key)
             )
             self._ranked.append([] if seg.lanes > 1 else None)
             self._edge_order[seg.key] = i
@@ -226,11 +223,13 @@ class TrafficEngine:
         # the Vehicle objects are refreshed lazily (``_sync_kinematics``)
         # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
         # per-current-segment invariants rewritten on every placement;
-        # ``_desired`` is fixed at spawn.  Each edge's gathered slot-index
-        # array (lane-major, front to back, in ``_gather_bufs``) and its
-        # lane-head flags (``_is_head``) are rebuilt only for edges whose
-        # lane lists actually changed — so a step gathers stable arrays
-        # instead of re-packing per-vehicle attributes.
+        # ``_desired`` and ``_vid_of`` are fixed at spawn.  Each edge's
+        # gathered slot-index array (lane-major, front to back, in
+        # ``_gather_bufs``) is its lane structure: the kernel's lane-table
+        # edits patch it, its lane bounds and the lane-head flags
+        # (``_is_head``) in place on every placement, removal and lane
+        # change — so a step gathers stable arrays instead of re-packing
+        # per-vehicle attributes, and nothing is rebuilt per edge.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -240,6 +239,8 @@ class TrafficEngine:
         self._freeflow = np.empty(0, dtype=np.float64)
         self._seglen = np.empty(0, dtype=np.float64)
         self._desired = np.empty(0, dtype=np.float64)
+        #: vid per slot: the tie-break of the lane tables' (-pos, vid) key.
+        self._vid_of = np.empty(0, dtype=np.int64)
         self._is_head = np.empty(0, dtype=bool)
         self._ml = np.empty(0, dtype=bool)
         #: mirror of ``waiting_since_s is not None`` per slot, so the fast
@@ -248,13 +249,9 @@ class TrafficEngine:
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
         n_edges = len(self._state_by_index)
-        #: edges whose gathered slot array was invalidated since the last
-        #: gather — rebuilt up front each step so the gather's per-edge walk
-        #: needs no per-edge checks.
-        self._gather_dirty: Set[int] = set()
-        #: per-edge count of non-empty lanes, refreshed together with the
-        #: gathered slot array — used to skip overtake detection on segments
-        #: whose vehicles all share one lane.
+        #: per-edge count of non-empty lanes, kept from the lane counts the
+        #: lane-table edits return — used to skip overtake detection on
+        #: segments whose vehicles all share one lane.
         self._occ_lanes: List[int] = [0] * n_edges
         #: whether each edge's (slot, vid) ranking buffers behind the
         #: kernel's ranking pointer table still mirror ``_ranked``.
@@ -273,12 +270,13 @@ class TrafficEngine:
         # the kernel's ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
         # Pointer tables for the kernel's full-edge sweeps: per-edge
-        # address + length of the cached gather slot array and of the
-        # cached ranking (slot, vid) arrays, plus the occupied-edge index
-        # mirror and the per-edge ranking-scan eligibility byte.  Updated
-        # only where the corresponding cache entry changes (a handful of
-        # edges per step), so the steady-state gather and overtake scan
-        # are each one bound native call with no per-edge Python walk.
+        # address + length of the gather slot array and of the cached
+        # ranking (slot, vid) arrays, plus the occupied-edge index mirror
+        # and the per-edge ranking-scan eligibility byte.  The lane-table
+        # edits keep the gather lengths natively; the rest change only
+        # where a cache entry changes (a handful of edges per step), so the
+        # steady-state gather and overtake scan are each one bound native
+        # call with no per-edge Python walk.
         self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
         self._gather_len = np.zeros(n_edges, dtype=np.int64)
         self._occ_buf = np.zeros(n_edges, dtype=np.int64)
@@ -289,13 +287,12 @@ class TrafficEngine:
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
         #: per-edge reusable buffers behind the pointer tables, all with
         #: *stable addresses* between reallocations: grow-only gather slot
-        #: buffers, fixed-size lane-bounds arrays (cumulative per-lane
-        #: gather offsets, ``lanes + 1`` int64 each) and grow-only ranking
-        #: (slot, vid) buffers.  Rebuilds overwrite the prefix in place, so
-        #: the per-rebuild cost is a bulk copy — no allocation and no
-        #: ``.ctypes`` pointer extraction (both measurably dominate the
-        #: rebuild otherwise); a table slot is rewritten only when its
-        #: buffer actually grows.
+        #: buffers (allocated at an edge's first placement, doubled with
+        #: their entries kept), fixed-size lane-bounds arrays (cumulative
+        #: per-lane gather offsets, ``lanes + 1`` int64 each) and grow-only
+        #: ranking (slot, vid) buffers.  Edits and refreshes write in
+        #: place — no allocation and no ``.ctypes`` pointer extraction; a
+        #: table slot is rewritten only when its buffer actually grows.
         self._gather_bufs: List[Optional[np.ndarray]] = [None] * n_edges
         self._rank_sbufs: List[Optional[np.ndarray]] = [None] * n_edges
         self._rank_vbufs: List[Optional[np.ndarray]] = [None] * n_edges
@@ -392,6 +389,7 @@ class TrafficEngine:
         self._slot_vehicle[slot] = vehicle
         vehicle.slot = slot
         self._desired[slot] = vehicle.desired_speed_mps
+        self._vid_of[slot] = vehicle.vid
         return slot
 
     def _release_slot(self, vehicle: Vehicle) -> None:
@@ -409,6 +407,7 @@ class TrafficEngine:
         self._freeflow = np.concatenate((self._freeflow, pad))
         self._seglen = np.concatenate((self._seglen, pad))
         self._desired = np.concatenate((self._desired, pad))
+        self._vid_of = np.concatenate((self._vid_of, np.zeros(extra, dtype=np.int64)))
         bpad = np.zeros(extra, dtype=bool)
         self._is_head = np.concatenate((self._is_head, bpad))
         self._ml = np.concatenate((self._ml, bpad))
@@ -455,6 +454,7 @@ class TrafficEngine:
             rank_len=self._rank_len,
             bounds_ptr=self._bounds_ptr,
             gap_half_m=lc.required_gap_m / 2.0,
+            vids=self._vid_of,
         )
 
     def _sync_kinematics(self) -> None:
@@ -476,10 +476,6 @@ class TrafficEngine:
         self._kinematics_stale = False
 
     # ------------------------------------------------ sorted-structure keys
-    def _lane_sort_key(self, vehicle: Vehicle) -> Tuple[float, int]:
-        """Front-to-back ordering within a lane: descending position."""
-        return (-self._pos[vehicle.slot], vehicle.vid)
-
     def _rank_sort_key(self, vehicle: Vehicle) -> Tuple[float, int]:
         """Segment-wide overtake ranking: ascending position."""
         return (self._pos[vehicle.slot], vehicle.vid)
@@ -547,7 +543,10 @@ class TrafficEngine:
             seg = self.net.segment(tail, head)  # raises MobilityError
         key = seg.key
         vehicle.edge = key
-        vehicle.lane = int(self.rng.integers(seg.lanes))
+        n_lanes = seg.lanes
+        # ``integers(1)`` draws nothing from the stream, so skipping it on
+        # single-lane edges leaves every trace unchanged.
+        vehicle.lane = int(self.rng.integers(n_lanes)) if n_lanes > 1 else 0
         vehicle.pos_m = min(pos_m, seg.length_m)
         free = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
         vehicle.speed_mps = free * 0.5
@@ -555,26 +554,25 @@ class TrafficEngine:
         vehicle.waiting_since_s = None
         flat = self._occupancy[key]
         flat.append(vehicle.vid)
-        if self.vectorized:
+        kernel = self._kernel
+        if kernel is not None:
             order = self._edge_order[key]
-            if len(flat) == 1:
+            k = len(flat)
+            if k == 1:
                 insort(self._occupied, order)
                 self._occ_stale = True
-                if seg.lanes > 1:
+                if n_lanes > 1:
                     self._n_occupied_ml += 1
             slot = vehicle.slot
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
             self._freeflow[slot] = free
             self._seglen[slot] = seg.length_m
-            self._ml[slot] = seg.lanes > 1
+            self._ml[slot] = n_lanes > 1
             self._wait_flag[slot] = False
-            lane_list = self._lanes[key][vehicle.lane]
-            idx = bisect_left(
-                lane_list, (-vehicle.pos_m, vehicle.vid), key=self._lane_sort_key
-            )
-            lane_list.insert(idx, vehicle)
-            self._gather_dirty.add(order)
+            self._grow_gather(order, k)
+            if kernel.lane_insert_bound(order, vehicle.lane, n_lanes, slot) == 1:
+                self._occ_lanes[order] += 1
             ranked = self._ranked[order]
             if ranked is not None:
                 insort(ranked, vehicle, key=self._rank_sort_key)
@@ -586,7 +584,8 @@ class TrafficEngine:
         edge = vehicle.edge
         flat = self._occupancy[edge]
         flat.remove(vehicle.vid)
-        if self.vectorized:
+        kernel = self._kernel
+        if kernel is not None:
             order = self._edge_order[edge]
             if not flat:
                 del self._occupied[bisect_left(self._occupied, order)]
@@ -600,8 +599,12 @@ class TrafficEngine:
             vehicle.pos_m = float(self._pos[slot])
             vehicle.speed_mps = float(self._speed[slot])
             self._wait_flag[slot] = False
-            self._lanes[edge][vehicle.lane].remove(vehicle)
-            self._gather_dirty.add(order)
+            left = kernel.lane_remove_bound(
+                order, vehicle.lane, self._state_by_index[order][2], slot
+            )
+            assert left >= 0, "vehicle missing from its lane table"
+            if left == 0:
+                self._occ_lanes[order] -= 1
             ranked = self._ranked[order]
             if ranked is not None:
                 ranked.remove(vehicle)
@@ -717,50 +720,28 @@ class TrafficEngine:
         return out
 
     # ------------------------------------------- segment dynamics (batched)
-    def _rebuild_gather(self, ei: int) -> None:
-        """Rebuild one edge's gathered slot array (and lane-head flags).
+    def _grow_gather(self, ei: int, k: int) -> None:
+        """Make room for ``k`` slots in edge ``ei``'s gather buffer.
 
-        Only called for edges whose lane lists changed since their last
-        gather (place / removal / lane change); every other edge reuses its
-        cached array, so the step's gather copies resident index arrays
-        rather than re-packing per-vehicle attributes.
+        A no-op unless the buffer is missing or full; it then doubles with
+        its entries kept and the pointer table is rewritten, so lane-table
+        edits never allocate.
         """
-        lanes = self._state_by_index[ei][2]
-        is_head = self._is_head
-        slots: List[int] = []
-        occupied_lanes = 0
-        bounds = [0]
-        for lane_list in lanes:
-            if lane_list:
-                occupied_lanes += 1
-                head = True
-                for v in lane_list:
-                    is_head[v.slot] = head
-                    head = False
-                    slots.append(v.slot)
-            bounds.append(len(slots))
-        k = len(slots)
         buf = self._gather_bufs[ei]
-        if buf is None or buf.shape[0] < k:
-            buf = np.empty(max(4, k, 0 if buf is None else 2 * buf.shape[0]),
-                           dtype=np.intp)
-            self._gather_bufs[ei] = buf
-            self._gather_ptr[ei] = buf.ctypes.data
-        buf[:k] = slots
-        self._gather_len[ei] = k
-        self._bounds_np[ei][:] = bounds
-        self._occ_lanes[ei] = occupied_lanes
-        if self._edge_ml[ei]:
-            # The occupied-lane count gates ranking-scan eligibility;
-            # re-derive it before the next pointer-table scan.
-            self._rank_dirty.add(ei)
+        if buf is not None and buf.shape[0] >= k:
+            return
+        grown = np.empty(max(4, k, 0 if buf is None else 2 * buf.shape[0]), dtype=np.intp)
+        if buf is not None:
+            grown[: buf.shape[0]] = buf
+        self._gather_bufs[ei] = grown
+        self._gather_ptr[ei] = grown.ctypes.data
 
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
         """Advance every occupied segment (the vectorized step).
 
-        Gather the cached per-edge slot arrays (lane lists are kept front
-        to back, so a follower's in-lane leader is the previous gather
-        index), evaluate the blocked-follower predicate over the whole
+        Gather the per-edge slot arrays (each lane's span is kept front to
+        back, so a follower's in-lane leader is the previous gather index),
+        evaluate the blocked-follower predicate over the whole
         gather, run the scalar-RNG-order target-lane choice for the actual
         candidates only, then advance: one bound native call sweeps the
         gather order updating the resident position/speed arrays *in
@@ -792,9 +773,9 @@ class TrafficEngine:
             and kernel.candidates_bound(n)
             and self._lane_change_batch(idx, self._cand_buf[:n])
         ):
-            # Accepted moves re-ordered some lanes: redo the gather (one
-            # bound call; the edges that did not change are rewritten with
-            # the same slots).
+            # Accepted moves re-ordered some lanes in place: redo the
+            # gather (one bound call; the edges that did not change are
+            # rewritten with the same slots).
             self._gather_fast()
         # The return value is the newly-arrived count, so the no-arrival
         # common case skips the mask reduction.
@@ -816,22 +797,15 @@ class TrafficEngine:
             self._detect_overtakes_fast(events)
 
     def _gather_fast(self) -> int:
-        """Flatten the occupied edges' cached slot arrays into ``_idx_buf``.
+        """Flatten the occupied edges' slot arrays into ``_idx_buf``.
 
-        Edges invalidated since the last gather (``_gather_dirty``) are
-        rebuilt up front; one bound native call then walks the pointer
-        table.  The occupied-edge mirror is refreshed only when membership
-        actually changed.  Returns the gathered element count (0 = nothing
-        occupied).
+        The lane-table edits keep every edge's slot array current, so one
+        bound native call walks the pointer table.  The occupied-edge
+        mirror is refreshed only when membership actually changed.  Returns
+        the gathered element count (0 = nothing occupied).
         """
         kernel = self._kernel
         assert kernel is not None
-        dirty = self._gather_dirty
-        if dirty:
-            rebuild = self._rebuild_gather
-            for ei in dirty:
-                rebuild(ei)
-            dirty.clear()
         occupied = self._occupied
         m = len(occupied)
         if self._occ_stale:
@@ -846,9 +820,9 @@ class TrafficEngine:
         reference engine's segment-by-segment, lane-by-lane, front-to-back
         scan order; segment boundaries come from each candidate's own edge
         (the gather is edge-block-ordered).  Decisions within a segment read
-        the pre-change lane lists (the reference pass applies its moves only
-        after scanning the whole segment), so accepted moves are buffered
-        and applied at the segment boundary.  The kernel's bound
+        the pre-change lane tables (the reference pass applies its moves
+        only after scanning the whole segment), so accepted moves are
+        buffered and applied at the segment boundary.  The kernel's bound
         ``lane_options`` call returns each candidate's both-neighbour
         viability bits.  Returns whether any segment's lane order changed —
         the caller then redoes the gather.
@@ -864,7 +838,6 @@ class TrafficEngine:
         rng = self.rng
         cur = -1
         seg_lanes = 0
-        lanes: List[List[Vehicle]] = []
         pending: List[Tuple[Vehicle, int]] = []
         patched = False
         for i in cand.nonzero()[0].tolist():
@@ -873,13 +846,11 @@ class TrafficEngine:
             ei = edge_order[v.edge]
             if ei != cur:
                 if pending:
-                    self._apply_lane_moves(cur, lanes, pending)
+                    self._apply_lane_moves(cur, seg_lanes, pending)
                     pending = []
                     patched = True
                 cur = ei
-                st = state_by_index[ei]
-                seg_lanes = st[0].lanes
-                lanes = st[2]
+                seg_lanes = state_by_index[ei][2]
             # Scalar target-lane choice (LaneChangeModel.target_lane):
             # politeness veto first (one uniform per candidate), then the
             # both-neighbour viability bits, then the tie draw only when
@@ -897,27 +868,35 @@ class TrafficEngine:
                 target = v.lane - 1
             pending.append((v, target))
         if pending:
-            self._apply_lane_moves(cur, lanes, pending)
+            self._apply_lane_moves(cur, seg_lanes, pending)
             patched = True
         return patched
 
     def _apply_lane_moves(
         self,
         ei: int,
-        lanes: List[List[Vehicle]],
+        n_lanes: int,
         moves: List[Tuple[Vehicle, int]],
     ) -> None:
-        """Apply one segment's accepted lane changes to its sorted lists."""
-        pos = self._pos
+        """Apply one segment's accepted lane changes to its lane tables.
+
+        Each move is a removal then an insert in the edge's slot array, so
+        its length (and room) is unchanged.  The occupied-lane count gates
+        ranking-scan eligibility, which is re-derived before the next scan.
+        """
+        kernel = self._kernel
+        assert kernel is not None
+        remove = kernel.lane_remove_bound
+        insert = kernel.lane_insert_bound
+        occ = self._occ_lanes
         for v, target in moves:
-            lanes[v.lane].remove(v)
+            slot = v.slot
+            if remove(ei, v.lane, n_lanes, slot) == 0:
+                occ[ei] -= 1
             v.lane = target
-            target_list = lanes[target]
-            i = bisect_left(
-                target_list, (-pos[v.slot], v.vid), key=self._lane_sort_key
-            )
-            target_list.insert(i, v)
-        self._gather_dirty.add(ei)
+            if insert(ei, target, n_lanes, slot) == 1:
+                occ[ei] += 1
+        self._rank_dirty.add(ei)
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
         """Post-step overtake scan over resident per-edge ranking arrays.

@@ -10,7 +10,12 @@ the result is bit-for-bit identical to the scalar engine (the golden-trace
 suites pin this).  Further entry points evaluate the lane-change candidate
 predicate (the ``LaneChangeModel.wants_to_change`` scan), the per-edge
 gather, the both-neighbour lane-change viability test and the overtake
-ranking scan over the engine's per-edge pointer tables.  One more entry
+ranking scan over the engine's per-edge pointer tables, and two point
+edits keep those tables: ``lane_insert`` / ``lane_remove`` patch one
+edge's gathered slot array — which is also its lane structure, lanes back
+to back, each front to back in ``(-pos, vid)`` order — its lane bounds and
+the lane-head flags in place on every placement, removal and lane change.
+One more entry
 point serves routing rather than the step: ``bidir_dijkstra``, the
 bidirectional shortest-path search a frozen road network runs on a
 route-cache miss (:class:`RouteKernel`, over a CSR form of the network's
@@ -50,8 +55,9 @@ out in :func:`advance_chain_py`:
   in — the same double values the scalar model computes per vehicle.
 
 :func:`advance_chain_py`, :func:`lane_change_candidates_py`,
-:func:`gather_all_py`, :func:`lane_options_py` and
-:func:`rank_scan_all_py` are the executable specifications: plain Python
+:func:`gather_all_py`, :func:`lane_options_py`,
+:func:`rank_scan_all_py`, :func:`lane_insert_py` and :func:`lane_remove_py`
+are the executable specifications: plain Python
 (plus ctypes dereferencing for the pointer-table sweeps), usable as
 property-test oracles against the C entry points.  The route search's
 oracle is :func:`repro.roadnet.routing._bidirectional_dijkstra`, which it
@@ -77,6 +83,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -87,6 +94,8 @@ __all__ = [
     "gather_all_py",
     "rank_scan_all_py",
     "lane_options_py",
+    "lane_insert_py",
+    "lane_remove_py",
     "available_backends",
     "load_step_kernel",
     "load_route_kernel",
@@ -326,6 +335,81 @@ def rank_scan_all_py(
     return n_flagged
 
 
+def lane_insert_py(
+    e: int,
+    lane: int,
+    nlanes: int,
+    slot: int,
+    gptrs: Any,
+    glens: Any,
+    bptrs: Any,
+    pos: Any,
+    vids: Any,
+    heads: Any,
+) -> int:
+    """Reference lane-table insert (Python + ctypes dereference).
+
+    Edge ``e``'s gathered slot array (``gptrs[e]``, room for one more
+    entry) holds its lanes back to back, each front to back in ``(-pos,
+    vid)`` order, delimited by the cumulative bounds at ``bptrs[e]``.  Puts
+    ``slot`` into ``lane`` at :func:`bisect.bisect_left`'s position on that
+    key, shifts the later slots up, bumps the later bounds and
+    ``glens[e]``, and sets the head flags (the new slot leads iff it went
+    first; the old head then follows).  Returns the lane's count after.
+    """
+    bounds = _deref_i64(int(bptrs[e]), int(nlanes) + 1)
+    n = int(bounds[nlanes])
+    slots = _deref_i64(int(gptrs[e]), n + 1)
+    start, end = int(bounds[lane]), int(bounds[lane + 1])
+    at = start + bisect_left(
+        slots[start:end].tolist(),
+        (-pos[slot], vids[slot]),
+        key=lambda s: (-pos[s], vids[s]),
+    )
+    slots[at + 1:n + 1] = slots[at:n].copy()
+    slots[at] = slot
+    bounds[lane + 1:] += 1
+    glens[e] = n + 1
+    heads[slot] = at == start
+    if at == start and end > start:
+        heads[slots[at + 1]] = False
+    return end + 1 - start
+
+
+def lane_remove_py(
+    e: int,
+    lane: int,
+    nlanes: int,
+    slot: int,
+    gptrs: Any,
+    glens: Any,
+    bptrs: Any,
+    heads: Any,
+) -> int:
+    """Reference lane-table removal (Python + ctypes dereference).
+
+    Drops ``slot`` from ``lane``'s span of edge ``e`` (tables as in
+    :func:`lane_insert_py`), shifts the later slots down, decrements the
+    later bounds and ``glens[e]``, and promotes the follower to head when
+    the removed slot led.  Returns the lane's count after, or -1 when the
+    slot is not in the lane.
+    """
+    bounds = _deref_i64(int(bptrs[e]), int(nlanes) + 1)
+    n = int(bounds[nlanes])
+    slots = _deref_i64(int(gptrs[e]), n)
+    start, end = int(bounds[lane]), int(bounds[lane + 1])
+    span = slots[start:end].tolist()
+    if slot not in span:
+        return -1
+    at = start + span.index(slot)
+    slots[at:n - 1] = slots[at + 1:n].copy()
+    bounds[lane + 1:] -= 1
+    glens[e] = n - 1
+    if at == start and end - 1 > start:
+        heads[slots[start]] = True
+    return end - 1 - start
+
+
 # --------------------------------------------------------------------- C
 # The same sweeps in C.  MAXF/MINF return the FIRST operand on ties, like
 # Python's max/min (fmax/fmin would normalize -0.0 away).  Compiled without
@@ -466,6 +550,70 @@ int64_t lane_options(
         ret |= ok << d;
     }
     return ret;
+}
+
+/* Lane-table edits.  Each edge's gathered slot array is also its lane
+ * structure: lane l's vehicles occupy slots[bounds[l] .. bounds[l + 1]),
+ * front to back in (-pos, vid) order, and each lane's first slot carries the
+ * head flag.  lane_insert puts ``slot`` at Python's bisect_left position on
+ * that key (same probe sequence, so the same index even on a span that is
+ * not sorted), shifts the later slots up by one (the caller guarantees room
+ * for one more), bumps the later lane bounds and the edge's gather length,
+ * and moves the head flag when the new slot leads its lane.  lane_remove
+ * drops ``slot`` from its lane span and promotes its follower to head when
+ * it led.  Both return the lane's vehicle count afterwards (lane_remove: -1
+ * when the slot is not in the lane). */
+int64_t lane_insert(
+    int64_t e, int64_t lane, int64_t nlanes, int64_t slot,
+    const int64_t *gptrs, int64_t *glens, const int64_t *bptrs,
+    const double *pos, const int64_t *vids, unsigned char *heads)
+{
+    int64_t *slots = (int64_t *)(intptr_t)gptrs[e];
+    int64_t *bounds = (int64_t *)(intptr_t)bptrs[e];
+    int64_t start = bounds[lane];
+    int64_t lo = 0, hi = bounds[lane + 1] - start;
+    double p = pos[slot];
+    int64_t v = vids[slot];
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        int64_t s = slots[start + mid];
+        if (pos[s] > p || (pos[s] == p && vids[s] < v)) lo = mid + 1;
+        else hi = mid;
+    }
+    int64_t at = start + lo;
+    int64_t len = bounds[nlanes];
+    for (int64_t k = len; k > at; k--) slots[k] = slots[k - 1];
+    slots[at] = slot;
+    for (int64_t l = lane + 1; l <= nlanes; l++) bounds[l]++;
+    glens[e] = len + 1;
+    int64_t count = bounds[lane + 1] - start;
+    if (lo == 0) {
+        heads[slot] = 1;
+        if (count > 1) heads[slots[at + 1]] = 0;
+    } else {
+        heads[slot] = 0;
+    }
+    return count;
+}
+
+int64_t lane_remove(
+    int64_t e, int64_t lane, int64_t nlanes, int64_t slot,
+    const int64_t *gptrs, int64_t *glens, const int64_t *bptrs,
+    unsigned char *heads)
+{
+    int64_t *slots = (int64_t *)(intptr_t)gptrs[e];
+    int64_t *bounds = (int64_t *)(intptr_t)bptrs[e];
+    int64_t start = bounds[lane], end = bounds[lane + 1];
+    int64_t at = start;
+    while (at < end && slots[at] != slot) at++;
+    if (at == end) return -1;
+    int64_t len = bounds[nlanes];
+    for (int64_t k = at; k < len - 1; k++) slots[k] = slots[k + 1];
+    for (int64_t l = lane + 1; l <= nlanes; l++) bounds[l]--;
+    glens[e] = len - 1;
+    int64_t count = end - 1 - start;
+    if (at == start && count > 0) heads[slots[start]] = 1;
+    return count;
 }
 
 int64_t rank_scan_all(
@@ -635,6 +783,8 @@ _SIGNATURES = {
     "gather_all": [_VP, _I64, _VP, _VP, _VP],
     "lane_options": [_I64, _I64, _I64, _F64, _F64, _VP, _VP, _VP],
     "rank_scan_all": [_VP, _I64, _VP, _VP, _VP, _VP, _VP],
+    "lane_insert": [_I64, _I64, _I64, _I64, _VP, _VP, _VP, _VP, _VP, _VP],
+    "lane_remove": [_I64, _I64, _I64, _I64, _VP, _VP, _VP, _VP],
     "bidir_dijkstra": [_I64, _I64, _I64, _I64, _VP, _VP, _VP, _VP, _VP, _VP, _VP, _VP],
 }
 
@@ -664,6 +814,10 @@ class StepKernel:
     rank_all_bound: Callable[[], int]
     #: both-neighbour viability bits ``(e, lane, nlanes, own) -> bits``.
     lane_opts_bound: Callable[[int, int, int, float], int]
+    #: lane-table insert ``(e, lane, nlanes, slot) -> lane count after``.
+    lane_insert_bound: Callable[[int, int, int, int], int]
+    #: lane-table removal ``(e, lane, nlanes, slot) -> lane count after``.
+    lane_remove_bound: Callable[[int, int, int, int], int]
 
     def __init__(
         self,
@@ -700,6 +854,7 @@ class StepKernel:
         rank_len: np.ndarray,
         bounds_ptr: np.ndarray,
         gap_half_m: float,
+        vids: np.ndarray,
     ) -> None:
         """Cache the engine's arrays for count-only per-step calls.
 
@@ -707,7 +862,10 @@ class StepKernel:
         ``gather_ptr`` / ``gather_len`` tables), advance outputs in
         ``newly_buf[:n]`` / ``moved_buf[:n]``, the candidate mask in
         ``cand_buf[:n]`` and the ranking-scan flags in ``flags_buf``
-        (through the ``rank_*`` tables).  The caller must re-bind whenever
+        (through the ``rank_*`` tables).  The lane-table edits patch the
+        per-edge slot arrays, ``gather_len``, the bounds and ``heads`` in
+        place, reading ``pos`` and the slot-indexed ``vids`` for their sort
+        key.  The caller must re-bind whenever
         any array is *reallocated* (the engine does so on capacity growth);
         in-place writes — including pointer-table slot updates — need no
         re-bind.
@@ -718,6 +876,8 @@ class StepKernel:
         gather_sym = lib.gather_all
         rank_all_sym = lib.rank_scan_all
         lane_opts_sym = lib.lane_options
+        insert_sym = lib.lane_insert
+        remove_sym = lib.lane_remove
         # Pre-converted ctypes arguments: each per-step call is a single
         # FFI invocation with only the count varying.
         idx_c = _ptr(idx_buf)
@@ -741,6 +901,9 @@ class StepKernel:
         lane_rest = (
             ctypes.c_double(gap_half_m), _ptr(gather_ptr), _ptr(bounds_ptr), pos_c,
         )
+        tables = (_ptr(gather_ptr), _ptr(gather_len), _ptr(bounds_ptr))
+        insert_rest = (*tables, pos_c, _ptr(vids), _ptr(heads))
+        remove_rest = (*tables, _ptr(heads))
 
         def advance_bound(n: int) -> int:
             return adv_sym(idx_c, n, *adv_rest)
@@ -757,11 +920,19 @@ class StepKernel:
         def lane_opts_bound(e: int, lane: int, nlanes: int, own: float) -> int:
             return lane_opts_sym(e, lane, nlanes, own, *lane_rest)
 
+        def lane_insert_bound(e: int, lane: int, nlanes: int, slot: int) -> int:
+            return insert_sym(e, lane, nlanes, slot, *insert_rest)
+
+        def lane_remove_bound(e: int, lane: int, nlanes: int, slot: int) -> int:
+            return remove_sym(e, lane, nlanes, slot, *remove_rest)
+
         self.advance_bound = advance_bound
         self.candidates_bound = candidates_bound
         self.gather_bound = gather_bound
         self.rank_all_bound = rank_all_bound
         self.lane_opts_bound = lane_opts_bound
+        self.lane_insert_bound = lane_insert_bound
+        self.lane_remove_bound = lane_remove_bound
 
 
 class RouteKernel:

@@ -265,15 +265,12 @@ class Simulation:
             batch = self.engine.step_batch()
             if injected:
                 batch.items[:0] = injected
-            cross_from = batch.cross_from
-            cross_node = batch.cross_node
-            time_s = batch.time_s
-            for item in batch.items:
-                if type(item) is int:
-                    if item >= 0:
-                        note_traffic(cross_from[item], cross_node[item], time_s)
-                elif isinstance(item, CrossingEvent):
-                    note_traffic(item.from_node, item.node, item.time_s)
+                for event in injected:
+                    if isinstance(event, CrossingEvent):
+                        note_traffic(event.from_node, event.node, event.time_s)
+            # The engine's own crossings all sit in the batch arrays, in
+            # stream order after the injected events, at the batch's time.
+            self.monitor.note_crossings(batch.cross_from, batch.cross_node, batch.time_s)
             self.protocol.process_batch(batch)
         else:
             events = injected + self.engine.step()

@@ -264,6 +264,30 @@ class TestConvergenceMonitor:
         orphans = {o.segment for o in monitor.orphans(now_s=60.0)}
         assert (2, 1) not in orphans and (3, 1) in orphans
 
+    def test_note_crossings_equals_note_traffic_per_crossing(self):
+        """The bulk call leaves the same traffic record, in the same
+        insertion order, as one note_traffic call per crossing (a None
+        origin is skipped by both)."""
+        net = triangle_network()
+        rng = np.random.default_rng(0)
+        froms = [2, None, 3, 1, 2, None, 3]
+        nodes = [1, 2, 1, 3, 1, 3, 2]
+        monitors = [
+            ConvergenceMonitor(
+                CountingProtocol(net, [1], rng, exchange=ExchangeService.perfect(rng))
+            )
+            for _ in range(2)
+        ]
+        monitors[0].note_traffic(3, 2, 5.0)
+        monitors[1].note_traffic(3, 2, 5.0)
+        for f, n in zip(froms, nodes):
+            monitors[0].note_traffic(f, n, 7.5)
+        monitors[1].note_crossings(froms, nodes, 7.5)
+        assert list(monitors[1]._last_traffic.items()) == list(
+            monitors[0]._last_traffic.items()
+        )
+        assert monitors[1]._last_traffic == {(3, 2): 7.5, (2, 1): 7.5, (3, 1): 7.5, (1, 3): 7.5}
+
     def test_waiting_chains_and_summary(self):
         net = line_network(3)
         rng = np.random.default_rng(0)

@@ -23,6 +23,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mobility import kernels
 from repro.mobility.kernels import (
@@ -30,7 +31,9 @@ from repro.mobility.kernels import (
     available_backends,
     gather_all_py,
     lane_change_candidates_py,
+    lane_insert_py,
     lane_options_py,
+    lane_remove_py,
     load_step_kernel,
     rank_scan_all_py,
 )
@@ -73,6 +76,7 @@ def _bind(kernel, n, n_edges, **given):
         rank_elig=z(n_edges, dtype=np.uint8), rank_ptr_s=z(n_edges, dtype=np.int64),
         rank_ptr_v=z(n_edges, dtype=np.int64), rank_len=z(n_edges, dtype=np.int64),
         bounds_ptr=z(n_edges, dtype=np.int64), gap_half_m=4.0,
+        vids=z(n, dtype=np.int64),
     )
     args.update(given)
     kernel.bind(**args)
@@ -297,6 +301,104 @@ class TestLaneOptions:
         bound = _bind(kernel, 1, 1, pos=pos, gather_ptr=gptrs, bounds_ptr=bptrs,
                       gap_half_m=4.0)
         assert kernel.lane_opts_bound(0, 0, 1, 50.0) == 0
+
+
+# ------------------------------------------------------------ lane tables
+class _LaneTable:
+    """One edge's lane table (slot array, bounds, gather length), held at
+    index 1 of two-entry pointer tables; entry 0 is a sentinel edge whose
+    arrays must never be touched."""
+
+    def __init__(self, nlanes, cap):
+        self.slots = np.full(cap, -7, dtype=np.int64)
+        self.bounds = np.zeros(nlanes + 1, dtype=np.int64)
+        self.sentinel = np.full(4, -9, dtype=np.int64)
+        self.gptrs = np.array([self.sentinel.ctypes.data, self.slots.ctypes.data],
+                              dtype=np.int64)
+        self.bptrs = np.array([self.sentinel.ctypes.data, self.bounds.ctypes.data],
+                              dtype=np.int64)
+        self.glens = np.zeros(2, dtype=np.int64)
+        self.heads = np.zeros(cap, dtype=bool)
+
+    def state(self):
+        n = int(self.bounds[-1])
+        return (self.slots[:n].tolist(), self.bounds.tolist(), self.glens.tolist(),
+                self.heads.tolist(), self.sentinel.tolist())
+
+
+#: Positions drawn for the lane-table edits: heavy ties at the segment
+#: start (every crossing enters at 0.0) and at the segment end (queued
+#: vehicles stop there), plus a few free values, so the ``(-pos, vid)``
+#: tie-break decides most insert positions.
+_LANE_POS = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 100.0, 100.0, 99.5]),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+)
+
+
+class TestLaneTables:
+    """``lane_insert`` / ``lane_remove`` against their oracles, driven
+    through random insert / remove / lane-move sequences the way the
+    engine drives them (a move is a removal then an insert)."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), nlanes=st.integers(min_value=1, max_value=4),
+           n_slots=st.integers(min_value=1, max_value=24))
+    def test_edit_sequences_match_oracle(self, kernel, data, nlanes, n_slots):
+        pos = np.array(data.draw(st.lists(_LANE_POS, min_size=n_slots,
+                                          max_size=n_slots)))
+        vids = np.array(data.draw(st.permutations(range(n_slots))), dtype=np.int64)
+        c_side, py_side = _LaneTable(nlanes, n_slots), _LaneTable(nlanes, n_slots)
+        bound = _bind(kernel, n_slots, 2, pos=pos, vids=vids, heads=c_side.heads,
+                      gather_ptr=c_side.gptrs, gather_len=c_side.glens,
+                      bounds_ptr=c_side.bptrs)
+        lane_of = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
+            absent = [s for s in range(n_slots) if s not in lane_of]
+            ops = (["insert"] if absent else []) + (["remove", "move"] if lane_of else [])
+            op = data.draw(st.sampled_from(ops))
+            if op == "insert":
+                slot = data.draw(st.sampled_from(absent))
+                # A placement gives the vehicle a fresh position first.
+                pos[slot] = data.draw(_LANE_POS)
+                targets = [data.draw(st.integers(0, nlanes - 1))]
+            else:
+                slot = data.draw(st.sampled_from(sorted(lane_of)))
+                lane = lane_of.pop(slot)
+                got = kernel.lane_remove_bound(1, lane, nlanes, slot)
+                ref = lane_remove_py(1, lane, nlanes, slot, py_side.gptrs,
+                                     py_side.glens, py_side.bptrs, py_side.heads)
+                assert got == ref >= 0
+                targets = [data.draw(st.integers(0, nlanes - 1))] if op == "move" else []
+            for lane in targets:
+                got = kernel.lane_insert_bound(1, lane, nlanes, slot)
+                ref = lane_insert_py(1, lane, nlanes, slot, py_side.gptrs, py_side.glens,
+                                     py_side.bptrs, pos, vids, py_side.heads)
+                assert got == ref >= 1
+                lane_of[slot] = lane
+            assert c_side.state() == py_side.state()
+            self._assert_sorted_lanes(c_side, pos, vids, lane_of, nlanes)
+        # a slot that is not in the lane is reported, and nothing moves
+        absent = [s for s in range(n_slots) if s not in lane_of]
+        if absent:
+            before = c_side.state()
+            assert kernel.lane_remove_bound(1, 0, nlanes, absent[0]) == -1
+            assert lane_remove_py(1, 0, nlanes, absent[0], c_side.gptrs, c_side.glens,
+                                  c_side.bptrs, c_side.heads) == -1
+            assert c_side.state() == before
+
+    @staticmethod
+    def _assert_sorted_lanes(table, pos, vids, lane_of, nlanes):
+        """The table equals a from-scratch build: per lane, the member
+        slots sorted by ``(-pos, vid)``, the first one flagged head."""
+        lanes = [sorted((s for s, ln in lane_of.items() if ln == lane),
+                        key=lambda s: (-pos[s], vids[s])) for lane in range(nlanes)]
+        assert table.slots[:len(lane_of)].tolist() == [s for lane in lanes for s in lane]
+        assert table.bounds.tolist() == np.cumsum([0] + [len(x) for x in lanes]).tolist()
+        assert int(table.glens[1]) == len(lane_of)
+        for lane in lanes:
+            assert [bool(table.heads[s]) for s in lane] == [i == 0 for i in range(len(lane))]
 
 
 # ------------------------------------------------------- bound convention
