@@ -50,7 +50,7 @@ def _build(districts: int, district_size: int, vehicles: int) -> TrafficEngine:
     demand = DemandModel(
         net,
         # Memoryless random turns isolate the mobility kernel (no Dijkstra
-        # in the timed loop), matching bench_engine_throughput's primary.
+        # in the timed loop).
         DemandConfig.for_fleet_size(net, vehicles, random_turn_fraction=1.0),
         np.random.default_rng(1),
     )

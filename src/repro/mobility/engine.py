@@ -182,18 +182,16 @@ class TrafficEngine:
         # native lane tables below (``_gather_bufs`` / ``_bounds_np``).
         self._occupancy: Dict[Tuple[object, object], List[int]] = {}
         self._segments: Dict[Tuple[object, object], DirectedSegment] = {}
-        # Per-edge (segment, flat occupancy, lane count, multilane?,
-        # length, edge key) for one-lookup, attribute-free iteration of the
-        # hot step; the lists are shared with the dicts above.  ``_ranked``
+        # Segments by edge index (the ``net.segments()`` order).  ``_ranked``
         # caches each multilane segment's vehicles in ascending (pos, vid)
         # order — the overtake ranking — which advance leaves intact except
         # on the rare steps that actually flip a pair.
-        self._state_by_index: List[Tuple] = []
+        self._seg_by_index: List[DirectedSegment] = []
         #: per-edge overtake ranking (ascending (pos, vid) vehicle lists),
-        #: indexed like _state_by_index; None for single-lane edges.
+        #: indexed like _seg_by_index; None for single-lane edges.
         self._ranked: List[Optional[List[Vehicle]]] = []
         self._edge_order: Dict[Tuple[object, object], int] = {}
-        # Sorted indices (into _state_by_index) of edges carrying vehicles,
+        # Sorted indices (into _seg_by_index) of edges carrying vehicles,
         # so the hot step never walks the empty part of the network.
         self._occupied: List[int] = []
         # How many of the ``_occupied`` edges are multilane, kept at the same
@@ -204,17 +202,14 @@ class TrafficEngine:
         # vehicles themselves (always their lane's head).
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
         for i, seg in enumerate(net.segments()):
-            flat: List[int] = []
-            self._occupancy[seg.key] = flat
+            self._occupancy[seg.key] = []
             self._segments[seg.key] = seg
-            self._state_by_index.append(
-                (seg, flat, seg.lanes, seg.lanes > 1, seg.length_m, seg.key)
-            )
+            self._seg_by_index.append(seg)
             self._ranked.append([] if seg.lanes > 1 else None)
             self._edge_order[seg.key] = i
-        #: per-edge multilane flag, indexed like ``_state_by_index`` (the
-        #: ``[3]`` tuple entry, hoisted for the occupancy-transition updates).
-        self._edge_ml: List[bool] = [st[3] for st in self._state_by_index]
+        #: per-edge multilane flag, indexed like ``_seg_by_index``, for the
+        #: occupancy-transition updates.
+        self._edge_ml: List[bool] = [seg.lanes > 1 for seg in self._seg_by_index]
 
         # Resident structure-of-arrays state (vectorized engine only).  One
         # slot per vehicle currently inside, allocated from a free list and
@@ -248,7 +243,7 @@ class TrafficEngine:
         #: Vehicle objects (cleared on every placement, set when a vehicle
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
-        n_edges = len(self._state_by_index)
+        n_edges = len(self._seg_by_index)
         #: per-edge count of non-empty lanes, kept from the lane counts the
         #: lane-table edits return — used to skip overtake detection on
         #: segments whose vehicles all share one lane.
@@ -297,7 +292,7 @@ class TrafficEngine:
         self._rank_sbufs: List[Optional[np.ndarray]] = [None] * n_edges
         self._rank_vbufs: List[Optional[np.ndarray]] = [None] * n_edges
         self._bounds_np: List[np.ndarray] = [
-            np.zeros(st[0].lanes + 1, dtype=np.int64) for st in self._state_by_index
+            np.zeros(seg.lanes + 1, dtype=np.int64) for seg in self._seg_by_index
         ]
         self._bounds_ptr = np.array(
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
@@ -600,7 +595,7 @@ class TrafficEngine:
             vehicle.speed_mps = float(self._speed[slot])
             self._wait_flag[slot] = False
             left = kernel.lane_remove_bound(
-                order, vehicle.lane, self._state_by_index[order][2], slot
+                order, vehicle.lane, self._seg_by_index[order].lanes, slot
             )
             assert left >= 0, "vehicle missing from its lane table"
             if left == 0:
@@ -831,7 +826,7 @@ class TrafficEngine:
         assert kernel is not None
         lane_opts = kernel.lane_opts_bound
         slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
+        seg_by_index = self._seg_by_index
         edge_order = self._edge_order
         pos_a = self._pos
         politeness = self.lane_change.politeness
@@ -850,7 +845,7 @@ class TrafficEngine:
                     pending = []
                     patched = True
                 cur = ei
-                seg_lanes = state_by_index[ei][2]
+                seg_lanes = seg_by_index[ei].lanes
             # Scalar target-lane choice (LaneChangeModel.target_lane):
             # politeness veto first (one uniform per candidate), then the
             # both-neighbour viability bits, then the tie draw only when
@@ -973,7 +968,7 @@ class TrafficEngine:
         Pairs are scanned in the flat insertion order the reference engine
         used, so simultaneous events come out in the same sequence.
         """
-        seg = self._state_by_index[ei][0]
+        seg = self._seg_by_index[ei]
         chain_after = sorted(chain_before, key=self._rank_sort_key)
         self._rank_fresh[ei] = False
         self._rank_elig[ei] = 0
@@ -1003,9 +998,9 @@ class TrafficEngine:
         """Seed reference implementation, kept verbatim.
 
         Per-vehicle loops with per-step lane rebuilds and sorting — the
-        pre-vectorization engine.  It is the baseline the golden-trace tests
-        and ``benchmarks/bench_engine_throughput.py`` compare against, so it
-        must not be optimized.
+        pre-vectorization engine.  It is the oracle the golden traces were
+        recorded from and the fast path is tested against, so it must not
+        be optimized.
         """
         for edge_key, vids in self._occupancy.items():
             if not vids:

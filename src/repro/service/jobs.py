@@ -13,8 +13,10 @@ contract.
 
 Run ids are **deterministic**: ``<config-hash-prefix>-<submission counter>``
 — the spec's existing SHA-256 config hash (so the id names *what* runs) and
-a per-manager monotonic counter (so resubmitting the same spec gets a
-distinct id and store).  No wall clock, no uuid: the service layer obeys
+a monotonic counter (so resubmitting the same spec gets a distinct id and
+store).  A manager started on an existing root continues the counter after
+the highest run directory already there, so ids stay unique across
+restarts.  No wall clock, no uuid: the service layer obeys
 the same reprolint D1/D2 determinism rules as the core.
 
 Run lifecycle::
@@ -35,6 +37,7 @@ keeps every completed cell, so the store resumes cleanly.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -122,6 +125,25 @@ def _default_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+#: A run's store directory name: config-hash prefix and submission counter.
+_RUN_DIR = re.compile(r"[0-9a-f]{12}-([0-9]{4,})")
+
+
+def _next_counter(root: Path) -> int:
+    """The first submission counter no run directory under ``root`` uses.
+
+    A manager restarted on an existing root continues after the runs an
+    earlier manager stored there, so no new run reuses an id or a store
+    directory.  Names that are not run directories are ignored.
+    """
+    next_counter = 0
+    for entry in sorted(root.iterdir()):
+        match = _RUN_DIR.fullmatch(entry.name)
+        if match is not None and entry.is_dir():
+            next_counter = max(next_counter, int(match.group(1)) + 1)
+    return next_counter
+
+
 class JobManager:
     """Bounded-queue, worker-pool executor of experiment specs.
 
@@ -155,7 +177,7 @@ class JobManager:
         self._jobs: Dict[str, JobRecord] = {}
         self._order: List[str] = []
         self._queue: Deque[JobRecord] = deque()
-        self._counter = 0
+        self._counter = _next_counter(self.root)
         self._shutdown = False
         self._threads = [
             threading.Thread(

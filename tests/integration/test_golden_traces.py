@@ -185,21 +185,51 @@ def test_trace_matches_pre_refactor_fixture(scenario, mode, monkeypatch):
     assert summary["final_state_digest"] == recorded["final_state_digest"]
 
 
-def test_vectorized_and_legacy_agree_on_midtown():
-    """Both engine modes must agree on a multilane midtown scenario too."""
+@pytest.mark.parametrize("scale", [0.2, 1.0])
+def test_vectorized_and_legacy_agree_on_midtown(scale):
+    """Both engine modes must agree on a multilane midtown scenario at 100%
+    volume too, and so must the full stacks on top of them: the vectorized
+    engine with the batched protocol pipeline against the reference engine
+    with the scalar one, compared on every checkpoint's counters and the
+    protocol and exchange statistics.  Scale 1.0 is the paper's full
+    evaluation region."""
     from repro.mobility.demand import DemandConfig, DemandModel
     from repro.mobility.engine import TrafficEngine
     from repro.roadnet.manhattan import build_midtown_grid
+    from repro.sim.config import MobilityConfig, ScenarioConfig
+    from repro.sim.simulator import Simulation
 
     def run(vectorized):
-        net = build_midtown_grid(scale=0.2)
+        net = build_midtown_grid(scale=scale)
         eng = TrafficEngine(net, np.random.default_rng(3), vectorized=vectorized)
         dm = DemandModel(net, DemandConfig(volume_fraction=1.0), np.random.default_rng(3))
         eng.spawn_initial(dm.initial_fleet())
         events = eng.run(120.0)
         return trace_summary(eng, events)
 
+    def protocol_state(fast):
+        config = ScenarioConfig(
+            name="midtown-agree",
+            rng_seed=0,
+            demand=DemandConfig(volume_fraction=1.0),
+            mobility=MobilityConfig(vectorized=fast),
+            batched=fast,
+        )
+        sim = Simulation(build_midtown_grid(scale=scale), config)
+        sim.run_for(150.0)
+        assert sim.engine.stats.crossings > 0
+        return {
+            "counters": {
+                repr(node): (dict(cp.counters), cp.adjustments, cp.stabilized_at)
+                for node, cp in sim.protocol.checkpoints.items()
+            },
+            "protocol_stats": sim.protocol.stats.as_dict(),
+            "exchange_stats": sim.exchange.stats.as_dict(),
+            "global_count": sim.protocol.global_count(),
+        }
+
     assert run(True) == run(False)
+    assert protocol_state(True) == protocol_state(False)
 
 
 # --------------------------------------------------------------- recording

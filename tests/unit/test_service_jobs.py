@@ -146,6 +146,28 @@ class TestJobLifecycle:
         finally:
             mgr2.shutdown()
 
+    def test_restarted_manager_gets_fresh_id_and_store(self, tmp_path):
+        root = tmp_path / "svc"
+        (root / "notes").mkdir(parents=True)  # not a run directory: ignored
+        spec = _spec()
+        first = JobManager(root, workers=1, queue_limit=2)
+        try:
+            before = first.submit(spec)
+            assert first.wait(before.run_id, timeout=60)
+        finally:
+            first.shutdown()
+        stored = sorted(p.name for p in before.store_root.rglob("*"))
+        restarted = JobManager(root, workers=1, queue_limit=2)
+        try:
+            after = restarted.submit(spec)
+            assert restarted.wait(after.run_id, timeout=60)
+        finally:
+            restarted.shutdown()
+        assert before.run_id.endswith("-0000")
+        assert after.run_id == before.run_id[:-4] + "0001"
+        assert after.store_root != before.store_root
+        assert sorted(p.name for p in before.store_root.rglob("*")) == stored
+
     def test_unknown_run_raises(self, manager):
         with pytest.raises(UnknownRunError):
             manager.status("nope-0000")
